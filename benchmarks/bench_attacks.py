@@ -10,6 +10,7 @@ import pytest
 
 from repro.analysis import format_table
 from repro.attacks import run_all_attacks
+from repro.kernel.config import configs_named
 from benchmarks.conftest import BENCH_KEY
 
 #: Expected outcome per scenario (True = blocked).
@@ -31,12 +32,12 @@ def test_attack_battery(benchmark, report):
     # how the CPU is emulated.
     def run_both():
         return {
-            engine: run_all_attacks(BENCH_KEY, engine=engine)
-            for engine in ("interp", "threaded")
+            config.name: run_all_attacks(BENCH_KEY, config)
+            for config in configs_named(["interp", "chained"])
         }
 
     by_engine = benchmark.pedantic(run_both, rounds=1, iterations=1)
-    results = by_engine["threaded"]
+    results = by_engine["chained"]
 
     rows = []
     for result in results:
@@ -61,5 +62,5 @@ def test_attack_battery(benchmark, report):
     assert [
         (r.name, r.blocked, r.kill_reason) for r in by_engine["interp"]
     ] == [
-        (r.name, r.blocked, r.kill_reason) for r in by_engine["threaded"]
+        (r.name, r.blocked, r.kill_reason) for r in by_engine["chained"]
     ]

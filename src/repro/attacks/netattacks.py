@@ -24,7 +24,7 @@ clients — under the preemptive scheduler, and all three must fail-stop
    the donor is a network peer attacking the service it is using.
 3. **tampered send** -- flip one bit in the buffer-pointer register of
    the server's echo-loop ``send`` after the site has been verified
-   (and its fast-path/JIT state warmed).  The pointer is an Immediate
+   (and its verifier warmed).  The pointer is an Immediate
    constraint in the signed per-site record, so the pre-verified site
    must still die with a call-MAC mismatch — warm caches are not an
    exemption from argument binding.
@@ -41,6 +41,7 @@ from typing import Optional
 from repro.binfmt import link
 from repro.crypto import Key
 from repro.installer import InstallerOptions, install
+from repro.kernel.config import DEFAULT_CONFIG, EngineConfig
 from repro.kernel.sched.scheduler import Scheduler, Task
 from repro.kernel.syscalls import SYSCALL_NUMBERS
 from repro.workloads.netserver import build_netserver
@@ -51,17 +52,17 @@ _POLSTATE_SIZE = 20
 
 #: Netserver shape for the battery: enough clients that the server is
 #: mid-service when the injection window opens, small enough to keep
-#: the five-config sweep quick.
+#: the per-config sweep quick.
 _CLIENTS = 3
 _REQUESTS = 4
 _TIMESLICE = 400
 
 #: Echo-loop send traps to let pass before tampering, so the site is
-#: verified and warm (authcache entry stored, verifier thunk compiled).
+#: verified and warm (verified pair stored, verifier thunk compiled).
 _WARM_SENDS = 3
 
 
-def _launch(key, fastpath, engine, chain, verifier_jit):
+def _launch(key: Key, config: EngineConfig):
     """Install the netserver and stand up a scheduled kernel around it.
 
     Returns (kernel, scheduler, master task, polstate address)."""
@@ -70,10 +71,7 @@ def _launch(key, fastpath, engine, chain, verifier_jit):
         key,
         InstallerOptions(),
     )
-    kernel = _prepare_kernel(
-        key, fastpath=fastpath, engine=engine, chain=chain,
-        verifier_jit=verifier_jit,
-    )
+    kernel = _prepare_kernel(key, config)
     polstate = link(installed.binary).address_of("__asc_polstate")
     scheduler = Scheduler(kernel, timeslice=_TIMESLICE)
     master = scheduler.adopt(*kernel.load(installed.binary))
@@ -104,10 +102,7 @@ def _survivors_contained(scheduler: Scheduler, master: Task) -> bool:
 
 def accept_replay_attack(
     key: Optional[Key] = None,
-    fastpath: bool = True,
-    engine: str = "threaded",
-    chain: bool = True,
-    verifier_jit: bool = True,
+    config: EngineConfig = DEFAULT_CONFIG,
 ) -> AttackResult:
     """Mimicry via the server's own history: the polstate bytes that
     were valid at an earlier accept are replayed once the counter has
@@ -115,9 +110,7 @@ def accept_replay_attack(
     kernel-resident nonce has advanced — so this isolates the replay
     protection from every other check."""
     key = key or Key.generate()
-    kernel, scheduler, master, polstate = _launch(
-        key, fastpath, engine, chain, verifier_jit
-    )
+    kernel, scheduler, master, polstate = _launch(key, config)
     snapshot: list[tuple[int, bytes]] = []
     injected: list[int] = []
 
@@ -161,19 +154,14 @@ def accept_replay_attack(
 
 def socket_state_reuse_attack(
     key: Optional[Key] = None,
-    fastpath: bool = True,
-    engine: str = "threaded",
-    chain: bool = True,
-    verifier_jit: bool = True,
+    config: EngineConfig = DEFAULT_CONFIG,
 ) -> AttackResult:
     """A connected client donates its live polstate to the server it is
     talking to.  Same image, same ``__asc_polstate`` address, valid MAC
     material — but MAC'd under the *client's* counter, which the
     server's kernel-side nonce has never seen."""
     key = key or Key.generate()
-    kernel, scheduler, master, polstate = _launch(
-        key, fastpath, engine, chain, verifier_jit
-    )
+    kernel, scheduler, master, polstate = _launch(key, config)
     injected: list[tuple[int, int]] = []
 
     def on_switch(sched: Scheduler, task: Task) -> None:
@@ -221,10 +209,7 @@ def socket_state_reuse_attack(
 
 def tampered_send_attack(
     key: Optional[Key] = None,
-    fastpath: bool = True,
-    engine: str = "threaded",
-    chain: bool = True,
-    verifier_jit: bool = True,
+    config: EngineConfig = DEFAULT_CONFIG,
 ) -> AttackResult:
     """Flip one bit in the buffer-pointer register of the server's
     echo ``send`` — after the site has trapped enough times that the
@@ -232,9 +217,7 @@ def tampered_send_attack(
     an Immediate constraint in the signed record, so the encoded call
     rebuilt from live registers must diverge from the MAC'd one."""
     key = key or Key.generate()
-    kernel, scheduler, master, _ = _launch(
-        key, fastpath, engine, chain, verifier_jit
-    )
+    kernel, scheduler, master, _ = _launch(key, config)
     send_number = SYSCALL_NUMBERS["send"]
     sends_seen = [0]
     tampered: list[int] = []
@@ -276,20 +259,14 @@ def tampered_send_attack(
 
 def run_net_attacks(
     key: Optional[Key] = None,
-    fastpath: bool = True,
-    engine: str = "threaded",
-    chain: bool = True,
-    verifier_jit: bool = True,
+    config: EngineConfig = DEFAULT_CONFIG,
 ) -> list[AttackResult]:
     """The networking battery.  Same contract as the other batteries:
     every scenario blocked, with identical kill reasons, on every
     engine configuration."""
     key = key or Key.generate()
-    common = dict(
-        fastpath=fastpath, engine=engine, chain=chain, verifier_jit=verifier_jit
-    )
     return [
-        accept_replay_attack(key, **common),
-        socket_state_reuse_attack(key, **common),
-        tampered_send_attack(key, **common),
+        accept_replay_attack(key, config),
+        socket_state_reuse_attack(key, config),
+        tampered_send_attack(key, config),
     ]

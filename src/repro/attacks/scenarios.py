@@ -21,6 +21,7 @@ from repro.installer import InstalledProgram, InstallerOptions, install
 from repro.isa import Instruction, encode_instruction
 from repro.isa.opcodes import Op
 from repro.kernel import EnforcementMode, Kernel
+from repro.kernel.config import DEFAULT_CONFIG, EngineConfig
 from repro.kernel.syscalls import SYSCALL_NUMBERS
 from repro.attacks.victim import BUFFER_SIZE, build_frankenstein_pair, build_victim
 
@@ -62,16 +63,9 @@ msg:
     return assemble(source, metadata={"program": "marker"}).to_bytes()
 
 
-def _prepare_kernel(
-    key: Key,
-    fastpath: bool = True,
-    engine: str = "threaded",
-    chain: bool = True,
-    verifier_jit: bool = True,
-) -> Kernel:
+def _prepare_kernel(key: Key, config: EngineConfig = DEFAULT_CONFIG) -> Kernel:
     kernel = Kernel(
-        key=key, mode=EnforcementMode.PERMISSIVE, fastpath=fastpath, engine=engine,
-        chain=chain, verifier_jit=verifier_jit,
+        key=key, mode=EnforcementMode.PERMISSIVE, **config.kernel_kwargs()
     )
     kernel.vfs.write_file("/bin/sh", _marker_program(_SH_MARKER))
     kernel.vfs.write_file("/bin/ls", _marker_program(_LS_MARKER))
@@ -83,9 +77,11 @@ def _install_victim(key: Key, **options) -> InstalledProgram:
     return install(build_victim(), key, InstallerOptions(**options))
 
 
-def _find_buffer_address(key: Key, installed: InstalledProgram) -> int:
+def _find_buffer_address(
+    key: Key, installed: InstalledProgram, config: EngineConfig = DEFAULT_CONFIG
+) -> int:
     """Dry-run the victim and capture r2 (the buffer) at the read trap."""
-    kernel = _prepare_kernel(key)
+    kernel = _prepare_kernel(key, config)
     process, vm = kernel.load(installed.binary, stdin=b"/etc/motd\x00")
     read_site = installed.site_for_syscall("read")
     captured: list[int] = []
@@ -107,15 +103,10 @@ def _run_with_payload(
     key: Key,
     installed: InstalledProgram,
     payload: bytes,
+    config: EngineConfig,
     mutate: Optional[Callable[[Kernel, VM], None]] = None,
-    fastpath: bool = True,
-    engine: str = "threaded",
-    chain: bool = True,
-    verifier_jit: bool = True,
 ):
-    kernel = _prepare_kernel(
-        key, fastpath=fastpath, engine=engine, chain=chain, verifier_jit=verifier_jit
-    )
+    kernel = _prepare_kernel(key, config)
     process, vm = kernel.load(installed.binary, stdin=payload)
     if mutate:
         mutate(kernel, vm)
@@ -134,16 +125,13 @@ def _encode(instructions) -> bytes:
 
 def shellcode_attack(
     key: Optional[Key] = None,
-    fastpath: bool = True,
-    engine: str = "threaded",
-    chain: bool = True,
-    verifier_jit: bool = True,
+    config: EngineConfig = DEFAULT_CONFIG,
 ) -> AttackResult:
     """Overflow the buffer, run injected code that issues a raw
     execve("/bin/sh") system call."""
     key = key or Key.generate()
     installed = _install_victim(key)
-    buffer_address = _find_buffer_address(key, installed)
+    buffer_address = _find_buffer_address(key, installed, config)
 
     # Shellcode layout inside the 64-byte buffer:
     #   [0..]   instructions
@@ -159,10 +147,7 @@ def shellcode_attack(
     payload = code.ljust(48, b"\x00") + b"/bin/sh\x00".ljust(16, b"\x00")
     payload += struct.pack("<I", buffer_address)  # smashed return address
 
-    kernel, process, vm = _run_with_payload(
-        key, installed, payload, fastpath=fastpath, engine=engine, chain=chain,
-        verifier_jit=verifier_jit,
-    )
+    kernel, process, vm = _run_with_payload(key, installed, payload, config)
     return AttackResult(
         name="shellcode",
         blocked=vm.killed,
@@ -180,10 +165,7 @@ def shellcode_attack(
 def mimicry_attack(
     key: Optional[Key] = None,
     variant: str = "call-graph",
-    fastpath: bool = True,
-    engine: str = "threaded",
-    chain: bool = True,
-    verifier_jit: bool = True,
+    config: EngineConfig = DEFAULT_CONFIG,
 ) -> AttackResult:
     """Reuse the victim's *authenticated* execve call out of context.
 
@@ -193,7 +175,7 @@ def mimicry_attack(
     injected code — the call-site MAC check fails."""
     key = key or Key.generate()
     installed = _install_victim(key)
-    buffer_address = _find_buffer_address(key, installed)
+    buffer_address = _find_buffer_address(key, installed, config)
     execve_site = installed.site_for_syscall("execve")
     image = link(installed.binary)
     exec_path = image.address_of("exec_path")
@@ -225,10 +207,7 @@ def mimicry_attack(
         detail = "issued ASYS from injected code with a stolen record"
 
     payload = code.ljust(BUFFER_SIZE, b"\x00") + struct.pack("<I", buffer_address)
-    kernel, process, vm = _run_with_payload(
-        key, installed, payload, fastpath=fastpath, engine=engine, chain=chain,
-        verifier_jit=verifier_jit,
-    )
+    kernel, process, vm = _run_with_payload(key, installed, payload, config)
     return AttackResult(
         name=f"mimicry/{variant}",
         blocked=vm.killed,
@@ -245,10 +224,7 @@ def mimicry_attack(
 
 def non_control_data_attack(
     key: Optional[Key] = None,
-    fastpath: bool = True,
-    engine: str = "threaded",
-    chain: bool = True,
-    verifier_jit: bool = True,
+    config: EngineConfig = DEFAULT_CONFIG,
 ) -> AttackResult:
     """Swap the constant "/bin/ls" for "/bin/sh" in memory.
 
@@ -263,8 +239,7 @@ def non_control_data_attack(
         vm.memory.write(exec_path, b"/bin/sh", force=True)
 
     kernel, process, vm = _run_with_payload(
-        key, installed, b"/etc/motd\x00", mutate=corrupt, fastpath=fastpath,
-        engine=engine, verifier_jit=verifier_jit,
+        key, installed, b"/etc/motd\x00", config, mutate=corrupt
     )
     return AttackResult(
         name="non-control-data",
@@ -283,10 +258,7 @@ def non_control_data_attack(
 def frankenstein_attack(
     key: Optional[Key] = None,
     defense: bool = True,
-    fastpath: bool = True,
-    engine: str = "threaded",
-    chain: bool = True,
-    verifier_jit: bool = True,
+    config: EngineConfig = DEFAULT_CONFIG,
 ) -> AttackResult:
     """Transplant program B's authenticated execve (of /bin/sh) into
     program A.  Both programs are legitimately installed on the same
@@ -325,8 +297,7 @@ def frankenstein_attack(
             vm.memory.write(address, blob, force=True)
 
     kernel, process, vm = _run_with_payload(
-        key, installed_a, b"/etc/motd\x00", mutate=transplant, fastpath=fastpath,
-        engine=engine, verifier_jit=verifier_jit,
+        key, installed_a, b"/etc/motd\x00", config, mutate=transplant
     )
     spawned_shell = _SH_MARKER in process.stdout
     return AttackResult(
@@ -348,10 +319,7 @@ def frankenstein_attack(
 
 def replay_attack(
     key: Optional[Key] = None,
-    fastpath: bool = True,
-    engine: str = "threaded",
-    chain: bool = True,
-    verifier_jit: bool = True,
+    config: EngineConfig = DEFAULT_CONFIG,
 ) -> AttackResult:
     """Snapshot lastBlock/lbMAC *before* the open executes; let the
     open run (advancing the kernel counter); then restore the stale
@@ -361,9 +329,7 @@ def replay_attack(
     counter and fail-stops instead."""
     key = key or Key.generate()
     installed = _install_victim(key)
-    kernel = _prepare_kernel(
-        key, fastpath=fastpath, engine=engine, chain=chain, verifier_jit=verifier_jit
-    )
+    kernel = _prepare_kernel(key, config)
     process, vm = kernel.load(installed.binary, stdin=b"/etc/motd\x00")
 
     image = link(installed.binary)
@@ -403,28 +369,22 @@ def replay_attack(
 
 def run_all_attacks(
     key: Optional[Key] = None,
-    fastpath: bool = True,
-    engine: str = "threaded",
-    chain: bool = True,
-    verifier_jit: bool = True,
+    config: EngineConfig = DEFAULT_CONFIG,
 ) -> list[AttackResult]:
-    """The full §4.1 + §5.5 battery.
+    """The full §4.1 + §5.5 battery, on one engine configuration.
 
-    ``fastpath=False`` runs every scenario on a ``--no-fastpath``
-    kernel; the outcomes must be identical — the verification cache is
-    an optimization, never a policy change.  Likewise ``engine``:
-    the battery must report the same verdicts under the interpreter
-    and the threaded translation cache (the §4.1 shellcode executes
-    freshly written stack bytes, which exercises the threaded engine's
-    invalidation protocol end to end)."""
+    The verdicts must be identical on every entry of
+    :data:`repro.kernel.config.CONFIGS`: the fast path is an
+    optimization, never a policy change, and the §4.1 shellcode
+    executes freshly written stack bytes, which exercises the threaded
+    engine's invalidation protocol end to end."""
     key = key or Key.generate()
-    common = dict(fastpath=fastpath, engine=engine, chain=chain, verifier_jit=verifier_jit)
     return [
-        shellcode_attack(key, **common),
-        mimicry_attack(key, "call-graph", **common),
-        mimicry_attack(key, "call-site", **common),
-        non_control_data_attack(key, **common),
-        frankenstein_attack(key, defense=True, **common),
-        frankenstein_attack(key, defense=False, **common),
-        replay_attack(key, **common),
+        shellcode_attack(key, config),
+        mimicry_attack(key, "call-graph", config),
+        mimicry_attack(key, "call-site", config),
+        non_control_data_attack(key, config),
+        frankenstein_attack(key, defense=True, config=config),
+        frankenstein_attack(key, defense=False, config=config),
+        replay_attack(key, config),
     ]

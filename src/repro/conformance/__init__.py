@@ -1,6 +1,6 @@
 """Differential conformance fuzzing across engine configurations.
 
-Seeded generator (:mod:`.grammar`) -> five-config oracle
+Seeded generator (:mod:`.grammar`) -> every-config oracle
 (:mod:`.oracle`) -> minimizing shrinker (:mod:`.shrink`) -> pinned
 reproducer corpus (:mod:`.corpus`), orchestrated by the sweep
 (:mod:`.sweep`) behind ``repro conform``.
@@ -23,7 +23,6 @@ from repro.conformance.grammar import (
     render,
 )
 from repro.conformance.oracle import (
-    ENGINE_CONFIGS,
     ProgramOutcome,
     divergences,
     install_spec,
@@ -39,7 +38,6 @@ __all__ = [
     "CorpusEntry",
     "DEFAULT_CORPUS_DIR",
     "DEFAULT_TIMESLICE",
-    "ENGINE_CONFIGS",
     "GenOp",
     "ProgramOutcome",
     "ProgramSpec",

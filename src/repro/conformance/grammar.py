@@ -3,7 +3,7 @@
 A generated program is a :class:`ProgramSpec` — a flat sequence of
 *ops* drawn from a small grammar, each rendering to a self-contained
 assembly fragment.  The grammar is chosen to stress exactly the places
-where the five engine configurations could diverge:
+where the engine configurations could diverge:
 
 - ``write`` / ``openclose`` / ``getpid`` — straight-line syscall
   chains through the mini-libc stubs (file-family traps, warm sites).

@@ -1,8 +1,8 @@
 """The conformance oracle: one program, every engine configuration.
 
-A program is installed once and executed under each of the five
-:data:`repro.faults.plan.CONFIGS` (interp / chained / no-chain /
-no-verifier-jit / no-fastpath).  Each run is reduced to a *portable
+A program is installed once and executed under each of
+:data:`repro.kernel.config.CONFIGS` (interp / chained / no-chain /
+no-fastpath).  Each run is reduced to a *portable
 conformance signature*:
 
 - the per-process result tuples of :func:`repro.faults.harness.process_signature`
@@ -28,10 +28,10 @@ from dataclasses import dataclass
 
 from repro.crypto import Key
 from repro.faults.harness import RunOutcome, portable_signature, process_signature
-from repro.faults.plan import CONFIGS, configs_named
 from repro.installer import InstalledProgram, InstallerOptions, install
 from repro.kernel import EnforcementMode, Kernel
 from repro.kernel.auth import violation_family
+from repro.kernel.config import configs_named
 
 from repro.conformance.grammar import DEFAULT_TIMESLICE, PATHS, ProgramSpec, build
 
@@ -209,7 +209,3 @@ def spec_diverges(
         key, installed, config_names=config_names, timeslice=timeslice
     )))
 
-
-#: Re-exported so callers can enumerate the roster without importing
-#: the faults package themselves.
-ENGINE_CONFIGS = CONFIGS

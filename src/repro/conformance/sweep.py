@@ -4,8 +4,8 @@ The contract the CI gate enforces:
 
 1. **Zero divergences.**  Every generated program must produce a
    bit-identical portable conformance signature (per-process results,
-   syscall trace, kill families, final memory digests) on all five
-   engine configurations.  One divergence fails the sweep.
+   syscall trace, kill families, final memory digests) on every
+   engine configuration.  One divergence fails the sweep.
 2. **Determinism.**  Same seed + same key -> byte-identical report
    JSON, run to run and machine to machine.  Nothing time- or
    path-dependent goes into the report.
@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass, field
 
 from repro.crypto import Key
-from repro.faults.plan import configs_named
+from repro.kernel.config import configs_named
 
 from repro.conformance.corpus import make_entry, write_entry
 from repro.conformance.grammar import DEFAULT_TIMESLICE, generate_specs

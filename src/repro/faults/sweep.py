@@ -6,9 +6,9 @@ The contract the CI battery enforces:
 1. **Zero misses.**  Every injected fault is either detected with a
    correctly attributed kill reason or provably benign (bit-identical
    run).  One MISSED outcome fails the sweep.
-2. **Config independence.**  The same plans run on all five engine
-   configurations; detection coverage must not depend on which
-   execution engine or which verification cache is in play.
+2. **Config independence.**  The same plans run on every engine
+   configuration; detection coverage must not depend on which
+   execution engine or which verification path is in play.
 3. **Determinism.**  Same seed + same key -> byte-identical report
    JSON.  The clean reference signatures are also asserted identical
    across configs before any fault runs, so the sweep doubles as an

@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.cpu.memory import MemoryFault
 from repro.cpu.vm import VM
 from repro.crypto import MacProvider
-from repro.kernel.authcache import VerifiedSiteCache
 from repro.kernel.costs import CostModel, mac_blocks
 from repro.kernel.process import Process
 from repro.obs import NULL_RECORDER, Recorder
@@ -41,6 +40,9 @@ from repro.policy.record import (
     read_policy_state,
     state_mac_payload,
 )
+
+if TYPE_CHECKING:
+    from repro.kernel.verifierjit import VerifierJit
 
 #: Cap on the length of a *runtime* (pattern-matched) string argument;
 #: unlike AS arguments these carry no authenticated length, so the
@@ -114,14 +116,15 @@ class CheckResult:
     #: bitmask and the permitted producing-site block ids.
     fd_mask: int = 0
     fd_allowed: frozenset = frozenset()
-    #: Fast-path accounting: call-MAC cache probes this check resolved
-    #: as hits/misses (0/0 when the kernel runs with fastpath disabled).
+    #: Fast-path accounting: 1/0 when the call MAC was satisfied without
+    #: a CMAC (a thunk or a verified pair), 0/1 when it paid one, 0/0
+    #: when the kernel runs with the fast path disabled.
     cache_hits: int = 0
     cache_misses: int = 0
 
     @property
     def fastpath(self) -> bool:
-        """True iff the call MAC was satisfied by the per-site cache."""
+        """True iff the call MAC was satisfied without a CMAC."""
         return self.cache_hits > 0
 
 
@@ -148,15 +151,15 @@ class AuthChecker:
         self,
         vm: VM,
         process: Process,
-        cache: Optional[VerifiedSiteCache] = None,
+        verifier: Optional[VerifierJit] = None,
     ) -> CheckResult:
         """Validate the ASYS trap currently pending on ``vm``.
 
-        ``cache`` (when the kernel enables the fast path) may satisfy
-        the call-MAC comparison from a previously verified trap at the
-        same site; everything counter-dependent and every string-content
-        MAC is still checked in full.  Raises :class:`AuthViolation` if
-        any check fails."""
+        ``verifier`` (the process's, when the kernel enables the fast
+        path) may satisfy the call-MAC comparison from a verified pair
+        of an earlier trap at the same site; everything
+        counter-dependent and every string-content MAC is still checked
+        in full.  Raises :class:`AuthViolation` if any check fails."""
         blocks = 0
         memory = vm.memory
         syscall_number = vm.regs[0]
@@ -173,7 +176,9 @@ class AuthChecker:
             )
         call_site = vm.pc
         record_ptr = vm.regs[7]
-        read_as = cache.read_as if cache is not None else read_authenticated_string
+        read_as = (
+            verifier.read_as if verifier is not None else read_authenticated_string
+        )
 
         # Observability: the four verification stages of the paper's
         # cost breakdown, as nested spans under the kernel's
@@ -257,12 +262,12 @@ class AuthChecker:
         # the CMAC can only reproduce the same success.
         cache_hits = 0
         cache_misses = 0
-        if cache is not None and cache.probe(
+        if verifier is not None and verifier.probe(
             call_site, descriptor, encoded_call, record.call_mac
         ):
             cache_hits = 1
         else:
-            if cache is not None:
+            if verifier is not None:
                 cache_misses = 1
             blocks += mac_blocks(len(encoded_call))
             if not self._provider.verify(encoded_call, record.call_mac):
@@ -270,8 +275,8 @@ class AuthChecker:
                     f"call MAC mismatch for syscall {syscall_number} "
                     f"at {call_site:#010x}"
                 )
-            if cache is not None:
-                cache.store(call_site, descriptor, encoded_call, record.call_mac)
+            if verifier is not None:
+                verifier.store(call_site, descriptor, encoded_call, record.call_mac)
 
         # ---- Step 2: verify authenticated string contents ----
         if traced:

@@ -61,8 +61,9 @@ WRITE_BYTE_COST = 9.0
 AUTH_FIXED = 3690
 MAC_BLOCK_COST = 214
 
-#: Fast-path accounting.  When the per-site cache satisfies the call
-#: MAC (see :mod:`repro.kernel.authcache`), the check performs no OMAC
+#: Fast-path accounting.  When the process's verifier satisfies the
+#: call MAC (a verified pair or a compiled thunk, see
+#: :mod:`repro.kernel.verifierjit`), the check performs no OMAC
 #: setup and no AES for that MAC: it copies the record in, rebuilds the
 #: encoded call, and compares it (plus the 16-byte MAC) against the
 #: verified pair.  AUTH_FIXED_HIT covers that copy/encode/bookkeeping

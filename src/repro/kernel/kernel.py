@@ -26,7 +26,6 @@ from repro.crypto import Key, MacProvider, mac_provider_for_key
 from repro.isa import INSTRUCTION_SIZE
 from repro.kernel.audit import AuditEvent, AuditLog, FastPathStats
 from repro.kernel.auth import AuthChecker, AuthViolation
-from repro.kernel.authcache import VerifiedSiteCache
 from repro.kernel.costs import CostModel
 from repro.kernel.net import NetStack
 from repro.kernel.process import Process
@@ -99,7 +98,6 @@ class Kernel:
         fastpath: bool = True,
         engine: str = "threaded",
         chain: bool = True,
-        verifier_jit: bool = True,
         recorder: Optional[Recorder] = None,
     ):
         self.key = key or Key.generate()
@@ -122,9 +120,10 @@ class Kernel:
         #: NX bit (which is what makes stack shellcode expressible);
         #: enabling it supports the hardware-vs-authentication ablation.
         self.nx = nx
-        #: Verification fast path (per-process VerifiedSiteCache).  Off
-        #: (`fastpath=False`, the benchmarks' --no-fastpath escape
-        #: hatch) every trap pays the full CMAC, as the paper measured.
+        #: Verification fast path: one VerifierJit per process (verified
+        #: pairs plus compiled per-site thunks, see kernel/verifierjit.py).
+        #: Off (`fastpath=False`, --no-fastpath) every trap runs the
+        #: generic checker with a full CMAC: the paper's cold cost model.
         self.fastpath = fastpath
         #: CPU execution engine for guest processes: "threaded" (the
         #: basic-block translation cache, default) or "interp" (the
@@ -134,15 +133,8 @@ class Kernel:
         #: engine (`chain=False`, the --no-chain escape hatch, restores
         #: plain per-block dispatch).  Bit-identical either way.
         self.chain = chain
-        #: Verifier specialization (per-process SiteThunk partitions,
-        #: see kernel/verifierjit.py).  Rides on the fast path — only
-        #: active when ``fastpath`` is too — and `verifier_jit=False`
-        #: (the --no-verifier-jit escape hatch) restores the generic
-        #: checker for every trap.  Bit-identical either way.
-        self.verifier_jit = verifier_jit
         self._checker = AuthChecker(self.mac, self.costs, self.obs)
-        self._authcaches: dict[int, VerifiedSiteCache] = {}
-        self._jits: dict[int, VerifierJit] = {}
+        self._verifiers: dict[int, VerifierJit] = {}
         #: Optional syscall tracer (duck-typed: .record(ctx)); used by
         #: the training-based baseline monitors.
         self.tracer = None
@@ -150,8 +142,8 @@ class Kernel:
         self._vm_process: dict[int, Process] = {}
         #: Per-pid kernel state.  Keyed by pid (not VM identity) so that
         #: fork and in-place execve keep a process's capability table,
-        #: mmap cursor, and verified-site cache attached to the process
-        #: across VM replacement.
+        #: mmap cursor, and verifier attached to the process across VM
+        #: replacement.
         self._capabilities: dict[int, CapabilityTable] = {}
         self._mmap_cursor: dict[int, int] = {}
         self._exec_depth = 0
@@ -197,28 +189,29 @@ class Kernel:
         )
         self._vm_process[id(vm)] = process
         self._capabilities[process.pid] = CapabilityTable()
-        if self.fastpath:
-            self._authcaches[process.pid] = VerifiedSiteCache()
-            if self.verifier_jit:
-                self._jits[process.pid] = self._new_jit()
+        self._new_verifier(process.pid)
         self._setup_argv(vm, argv or [process.name])
         return process, vm
 
-    def _new_jit(self) -> VerifierJit:
-        """A fresh per-process thunk partition (load/fork/execve)."""
-        return VerifierJit(self.mac, self.costs, self.metrics, self.obs)
+    def _new_verifier(self, pid: int) -> None:
+        """Give a pid a fresh, empty verifier (load/fork/execve) when
+        the fast path is on: pairs and thunks never cross pids."""
+        if self.fastpath:
+            self._verifiers[pid] = VerifierJit(
+                self.mac, self.costs, self.metrics, self.obs
+            )
 
-    def _drop_jit(self, pid: int) -> None:
-        """Tear down a pid's thunk partition (exit/execve), folding its
-        dropped thunks into the invalidation counters."""
-        jit = self._jits.pop(pid, None)
-        if jit is None:
+    def _drop_verifier(self, pid: int, task: Optional[Task]) -> None:
+        """Tear down a pid's verifier (exit/execve): fold its fast-path
+        tally into the task, if any, and count what it dropped — its
+        verifications never outlive the address space they observed."""
+        verifier = self._verifiers.pop(pid, None)
+        if verifier is None:
             return
-        dropped = jit.invalidate()
-        if dropped:
-            self.metrics.inc("verifier.thunks_invalidated", dropped)
-            if self.obs.enabled:
-                self.obs.inc("verifier.thunks_invalidated", dropped)
+        if task is not None:
+            task.fastpath_hits += verifier.hits
+            task.fastpath_misses += verifier.misses
+        verifier.invalidate()
 
     def _map_image(self, image) -> tuple[Memory, int]:
         """Map a linked image's segments plus a fresh heap; shared by
@@ -338,26 +331,11 @@ class Kernel:
         )
 
     def release_process(self, process: Process, vm: VM, task: Optional[Task] = None) -> None:
-        """Tear down a process's kernel-side state at exit.
-
-        Snapshots the per-pid fast-path cache traffic into the task (if
-        any) before invalidating — the cache never outlives the address
-        space it was observed in."""
+        """Tear down a process's kernel-side state at exit."""
         self._vm_process.pop(id(vm), None)
         self._capabilities.pop(process.pid, None)
         self._mmap_cursor.pop(process.pid, None)
-        authcache = self._authcaches.pop(process.pid, None)
-        if authcache is not None:
-            if task is not None:
-                task.fastpath_hits += authcache.hits
-                task.fastpath_misses += authcache.misses
-            # Exit/exec invalidation: cached verifications never
-            # outlive the address space they were observed in.
-            dropped = authcache.invalidate()
-            self.audit.fastpath.invalidations += dropped
-            if self.obs.enabled:
-                self.obs.inc("fastpath.invalidations", dropped)
-        self._drop_jit(process.pid)
+        self._drop_verifier(process.pid, task)
         self._sync_engine_metrics(vm)
 
     def _allocate_pid(self) -> int:
@@ -432,12 +410,11 @@ class Kernel:
         if traced:
             span_depth = rec.open_spans
             rec.begin("syscall-verify", "verify")
-        cache = self._authcaches.get(process.pid)
-        jit = self._jits.get(process.pid)
-        result = jit.execute(vm, process, cache) if jit is not None else None
+        verifier = self._verifiers.get(process.pid)
+        result = verifier.execute(vm, process) if verifier is not None else None
         if result is None:
             try:
-                result = self._checker.check(vm, process, cache)
+                result = self._checker.check(vm, process, verifier)
             except AuthViolation as violation:
                 number = vm.regs[0]
                 name = SYSCALL_NAMES.get(number, f"syscall#{number}")
@@ -448,12 +425,15 @@ class Kernel:
                     rec.close_to(span_depth)
                 self._kill(vm, process, name, violation.reason)
                 raise AssertionError("unreachable")  # pragma: no cover
-            if jit is not None:
+            if verifier is not None:
                 # First full verification of this site (or its thunk
                 # just got voided): specialize it for the next trap.
-                jit.compile_site(vm, process, result, cache)
+                verifier.compile_site(vm, process, result)
         if traced:
             rec.end()  # syscall-verify
+        if verifier is not None:
+            verifier.hits += result.cache_hits
+            verifier.misses += result.cache_misses
         self.audit.fastpath.hits += result.cache_hits
         self.audit.fastpath.misses += result.cache_misses
         if traced:
@@ -691,25 +671,14 @@ class Kernel:
         process.auth_counter = 0
         process.signal_handlers.clear()
         task = self._scheduler.tasks[process.pid]
-        # Per-pid kernel state: the capability table and verified-site
-        # cache belong to the old image; drop and restart them.
+        # Per-pid kernel state: the capability table and verifier belong
+        # to the old image; drop and restart them.
         self._vm_process.pop(id(old_vm), None)
         self._vm_process[id(new_vm)] = process
         self._capabilities[process.pid] = CapabilityTable()
         self._mmap_cursor.pop(process.pid, None)
-        old_cache = self._authcaches.pop(process.pid, None)
-        if old_cache is not None:
-            task.fastpath_hits += old_cache.hits
-            task.fastpath_misses += old_cache.misses
-            dropped = old_cache.invalidate()
-            self.audit.fastpath.invalidations += dropped
-            if self.obs.enabled:
-                self.obs.inc("fastpath.invalidations", dropped)
-        self._drop_jit(process.pid)
-        if self.fastpath:
-            self._authcaches[process.pid] = VerifiedSiteCache()
-            if self.verifier_jit:
-                self._jits[process.pid] = self._new_jit()
+        self._drop_verifier(process.pid, task)
+        self._new_verifier(process.pid)
         self._setup_argv(new_vm, argv or [process.name])
         task.vm = new_vm
         raise ImageReplaced(f"execve {path}")
@@ -785,15 +754,10 @@ class Kernel:
             )
         if parent.pid in self._mmap_cursor:
             self._mmap_cursor[child.pid] = self._mmap_cursor[parent.pid]
-        if self.fastpath:
-            # A fresh per-pid cache: verified sites never leak across
-            # pids, so a cross-process cache-poisoning angle does not
-            # exist by construction (tested).  Same for thunks — the
-            # child's partition starts empty; a sibling's compiled
-            # verifier is never consulted.
-            self._authcaches[child.pid] = VerifiedSiteCache()
-            if self.verifier_jit:
-                self._jits[child.pid] = self._new_jit()
+        # The child's verifier starts empty: verified pairs and thunks
+        # never leak across pids, so a cross-process poisoning angle
+        # does not exist by construction (tested).
+        self._new_verifier(child.pid)
         scheduler.adopt(child, child_vm, parent_pid=parent.pid)
         self.metrics.inc("sched.forks")
         return child.pid

@@ -1,18 +1,28 @@
-"""Per-site verifier specialization: a threaded-code JIT for §3.4.
+"""The per-process verifier: verified pairs plus per-site thunks (§3.4).
 
-The execution engines specialize *CPU* work per basic block (PR 2/6);
-this module applies the same move to the kernel's verification path.
 The paper's per-call-site policies are almost entirely static — the
 auth record, the encoded policy, the authenticated strings, and the
 predecessor set are burned into read-only sections at install time —
 yet the generic :class:`repro.kernel.auth.AuthChecker` re-parses and
 re-encodes all of them on every trap.  SFIP and SysPart exploit the
-same staticness with precomputed per-site/per-phase tables; here we
-compile it away.
+same staticness with precomputed per-site/per-phase tables; each
+process's :class:`VerifierJit` does it here, in two steps that share
+one lifecycle.
 
-On the first *fully verified* trap at a ``(process, call site)`` pair
-the kernel asks :class:`VerifierJit` to compile a :class:`SiteThunk`:
-a pre-bound verifier that inlines exactly the checks that site needs —
+**Verified pairs.**  After a trap survives the *full* CMAC check, the
+verifier remembers the exact ``(encoded call, call MAC)`` pair per
+``(call_site, descriptor)``.  The generic checker still reconstructs
+the encoded call from live registers and memory on every trap it
+serves, but if the reconstruction and the presented MAC are
+byte-identical to the verified pair, the CMAC would necessarily
+succeed again, so it is skipped (:meth:`VerifierJit.probe`).  Any
+divergence misses and falls through to the full check.  Parsing (not
+verifying) of AS headers is memoized through a write-version-gated
+:class:`repro.policy.authstrings.CachedASReader`.
+
+**Thunks.**  The same first full verification compiles a
+:class:`SiteThunk`: a pre-bound verifier that inlines exactly the
+checks that site needs —
 
 - the record parse, parameter walk, and encoded-call reconstruction
   collapse into direct register comparisons against the verified
@@ -26,36 +36,37 @@ a pre-bound verifier that inlines exactly the checks that site needs —
   every memory region the full verification read, instead of being
   re-read and re-MAC'd.
 
-What stays live on every thunk execution — exactly the pieces the
-fast-path cache also refuses to cache — is everything bound to the
+What is never remembered, by either step, is everything bound to the
 per-process counter: the lastBlock/lbMAC state is read from guest
 memory, MAC-verified against the current counter, probed against the
-predecessor set, then advanced and re-MAC'd; pattern-constrained
+predecessor set, then advanced and re-MAC'd on every trap; the
+generic path re-MACs string-argument contents, and pattern-constrained
 runtime arguments are re-matched against live memory and r8 hints.
 
 Soundness mirrors the block-chaining pre-image invalidation story
-(DESIGN.md "Execution engines"): every byte the thunk *assumes* was
+(DESIGN.md "Execution engines"): every byte a thunk *assumes* was
 covered by one full cryptographic verification, and any store into a
 region holding such bytes — legitimate or hostile — bumps that
 region's write version, fails the guard, drops the thunk, and falls
-back to the generic checker.  A thunk therefore accepts a trap iff the
-generic checker (with a warm fast-path cache) would accept it, and it
-never raises: *any* divergence returns ``None`` and the slow path
-reproduces the exact :class:`~repro.kernel.auth.AuthViolation` the
-un-JITted kernel raises.
+back to the generic checker.  That fallback still probes the verified
+pair, so a harmless version bump (same bytes rewritten) costs one
+generic check at the pair-hit price and a recompile, while changed
+bytes miss the pair and die on the full CMAC.  A thunk never raises:
+*any* divergence returns ``None`` and the generic path reproduces the
+exact :class:`~repro.kernel.auth.AuthViolation`.
 
-Cycle accounting is bit-identical to the fast-path-hit cost the
-generic checker charges (same AES-block count, same
-``auth_cost_fastpath`` formula), so enabling or disabling the JIT
-changes host wall-clock only, never simulated time.
+Cycle accounting is bit-identical to the pair-hit cost the generic
+checker charges (same AES-block count, same ``auth_cost_fastpath``
+formula), so which step serves a trap changes host wall-clock only,
+never simulated time.
 
-Thunks are per-process (the partition lives and dies with the pid,
-like the :class:`~repro.kernel.authcache.VerifiedSiteCache`): exit and
-execve drop the partition, fork children start empty — a sibling's
-thunk is never reused, so the cross-process counter divergence that
-isolates the fast-path cache isolates thunks by construction too.
-``Kernel(verifier_jit=False)`` / ``--no-verifier-jit`` is the escape
-hatch, mirroring ``--no-fastpath`` and ``--no-chain``.
+A verifier lives and dies with its pid: exit and execve drop it, fork
+children start with an empty one — a sibling's pairs and thunks are
+never consulted, so the cross-process counter divergence that
+isolates processes isolates their verifiers by construction.
+``Kernel(fastpath=False)`` / ``--no-fastpath`` runs without one: the
+generic checker with a full CMAC on every trap, the paper's cold cost
+model.
 """
 
 from __future__ import annotations
@@ -63,7 +74,7 @@ from __future__ import annotations
 import struct
 from typing import Optional
 
-from repro.cpu.memory import MemoryFault
+from repro.cpu.memory import Memory, MemoryFault
 from repro.cpu.vm import VM
 from repro.crypto import MacProvider
 from repro.kernel.auth import (
@@ -72,11 +83,15 @@ from repro.kernel.auth import (
     CheckResult,
     read_hint_words,
 )
-from repro.kernel.authcache import VerifiedSiteCache
 from repro.kernel.costs import CostModel, mac_blocks
 from repro.kernel.process import Process
 from repro.obs import NULL_RECORDER, MetricsRegistry, Recorder
-from repro.policy.authstrings import AS_HEADER_SIZE
+from repro.policy.authstrings import (
+    AS_HEADER_SIZE,
+    AuthenticatedString,
+    CachedASReader,
+)
+from repro.policy.descriptor import PolicyDescriptor
 from repro.policy.encode import unpack_predecessor_set
 from repro.policy.patterns import Pattern, match_with_hint
 from repro.policy.record import POLSTATE_SIZE, AuthRecord
@@ -150,10 +165,11 @@ class SiteThunk:
 
 
 class VerifierJit:
-    """The per-process thunk partition."""
+    """One process's verifier: verified pairs, AS parses, and thunks."""
 
-    #: Site cap, matching VerifiedSiteCache: overflow is pathology and
-    #: answered with a full flush, never an eviction policy.
+    #: Verified-pair cap; a process has a fixed set of rewritten call
+    #: sites, so overflow is pathology and answered with a full flush of
+    #: pairs and thunks together, never an eviction policy.
     MAX_SITES = 4096
 
     #: A site whose guards keep failing (its policy material lives in
@@ -172,24 +188,65 @@ class VerifierJit:
         self._costs = costs
         self._metrics = metrics
         self._recorder = recorder
+        self._pairs: dict[tuple[int, int], tuple[bytes, bytes]] = {}
+        self._as_reader = CachedASReader()
         self._thunks: dict[int, SiteThunk] = {}
         self._invalidations: dict[int, int] = {}
+        #: This process's fast-path tally (call-MAC checks served
+        #: without a CMAC, and those that paid one).  The kernel adds to
+        #: it once per trap and folds it into the task at teardown.
+        self.hits = 0
+        self.misses = 0
 
     def __len__(self) -> int:
+        """Compiled thunks (the verified pairs are ``pairs``)."""
         return len(self._thunks)
+
+    @property
+    def pairs(self) -> int:
+        return len(self._pairs)
 
     def thunk_at(self, call_site: int) -> Optional[SiteThunk]:
         """Test/introspection hook: the compiled thunk for a site."""
         return self._thunks.get(call_site)
 
-    # -- the fast path ---------------------------------------------------
+    # -- verified pairs (the generic checker's call-MAC shortcut) --------
 
-    def execute(
+    def probe(
         self,
-        vm: VM,
-        process: Process,
-        cache: Optional[VerifiedSiteCache] = None,
-    ) -> Optional[CheckResult]:
+        call_site: int,
+        descriptor: PolicyDescriptor,
+        encoded_call: bytes,
+        call_mac: bytes,
+    ) -> bool:
+        """True iff this exact (encoded call, MAC) pair was previously
+        verified at this site — i.e. the full CMAC check may be skipped."""
+        return self._pairs.get((call_site, int(descriptor))) == (
+            encoded_call,
+            call_mac,
+        )
+
+    def store(
+        self,
+        call_site: int,
+        descriptor: PolicyDescriptor,
+        encoded_call: bytes,
+        call_mac: bytes,
+    ) -> None:
+        """Record a pair that just survived the full CMAC check."""
+        if len(self._pairs) >= self.MAX_SITES:
+            self._note_invalidated(len(self._thunks))
+            self._thunks.clear()
+            self._pairs.clear()
+        self._pairs[(call_site, int(descriptor))] = (encoded_call, call_mac)
+
+    def read_as(self, memory: Memory, string_address: int) -> AuthenticatedString:
+        """Version-gated memoized AS parse (see CachedASReader)."""
+        return self._as_reader.read(memory, string_address)
+
+    # -- thunks ------------------------------------------------------------
+
+    def execute(self, vm: VM, process: Process) -> Optional[CheckResult]:
         """Run the compiled verifier for the pending trap, if any.
 
         Returns a :class:`CheckResult` identical to what the generic
@@ -263,8 +320,6 @@ class VerifierJit:
             except MemoryFault:
                 return None  # unwritable polstate; slow path fail-stops
             process.auth_counter = new_counter
-        if cache is not None:
-            cache.hits += 1
         metrics = self._metrics
         if metrics is not None:
             metrics.inc("verifier.thunk_hits")
@@ -286,11 +341,7 @@ class VerifierJit:
     # -- compilation -----------------------------------------------------
 
     def compile_site(
-        self,
-        vm: VM,
-        process: Process,
-        result: CheckResult,
-        cache: Optional[VerifiedSiteCache] = None,
+        self, vm: VM, process: Process, result: CheckResult
     ) -> Optional[SiteThunk]:
         """Specialize the site of the trap that ``result`` just fully
         verified.  Reads the same policy material the check read (memoized
@@ -304,7 +355,7 @@ class VerifierJit:
         if traced:
             rec.begin("verifier-compile", "verify")
         try:
-            thunk = self._build(vm, result, cache)
+            thunk = self._build(vm, result)
         except (_Uncompilable, MemoryFault):
             thunk = None
         finally:
@@ -312,9 +363,6 @@ class VerifierJit:
                 rec.end()
         if thunk is None:
             return None
-        if len(self._thunks) >= self.MAX_SITES:
-            self._note_invalidated(len(self._thunks))
-            self._thunks.clear()
         self._thunks[call_site] = thunk
         metrics = self._metrics
         if metrics is not None:
@@ -323,21 +371,13 @@ class VerifierJit:
             rec.inc("verifier.thunks_compiled")
         return thunk
 
-    def _build(
-        self, vm: VM, result: CheckResult, cache: Optional[VerifiedSiteCache]
-    ) -> SiteThunk:
+    def _build(self, vm: VM, result: CheckResult) -> SiteThunk:
         record = result.record
         descriptor = record.descriptor
         memory = vm.memory
         regs = vm.regs
         record_ptr = regs[7]
-        read_as = cache.read_as if cache is not None else None
-        if read_as is None:
-            from repro.policy.authstrings import read_authenticated_string
-
-            def read_as(mem, address):
-                return read_authenticated_string(mem, address)
-
+        read_as = self.read_as
         guards: dict[int, tuple] = {}
 
         def guard(address: int) -> None:
@@ -434,11 +474,22 @@ class VerifierJit:
             rec.inc("verifier.thunks_invalidated", count)
 
     def invalidate(self) -> int:
-        """Drop every thunk (process exit/execve); returns the count.
-
-        The caller owns the ``verifier.thunks_invalidated`` accounting
-        for teardown (it aggregates across the whole partition)."""
-        dropped = len(self._thunks)
+        """Drop everything (process exit/execve); returns the number of
+        entries dropped.  Thunks count into
+        ``verifier.thunks_invalidated``; verified pairs and memoized AS
+        parses into ``fastpath.invalidations``."""
+        entries = len(self._pairs) + len(self._as_reader)
+        thunks = len(self._thunks)
+        metrics = self._metrics
+        if metrics is not None:
+            metrics.inc("fastpath.invalidations", entries)
+        rec = self._recorder
+        if rec.enabled:
+            rec.inc("fastpath.invalidations", entries)
+        if thunks:
+            self._note_invalidated(thunks)
         self._thunks.clear()
         self._invalidations.clear()
-        return dropped
+        self._pairs.clear()
+        self._as_reader.clear()
+        return thunks + entries

@@ -116,7 +116,6 @@ def _run_under_kernel(args, trace_path: Optional[str] = None):
         fastpath=not args.no_fastpath,
         engine=args.engine,
         chain=not args.no_chain,
-        verifier_jit=not args.no_verifier_jit,
         recorder=recorder,
     )
     for spec in args.file or []:
@@ -199,7 +198,6 @@ def _cmd_run_net(args) -> int:
         fastpath=not args.no_fastpath,
         engine=args.engine,
         chain=not args.no_chain,
-        verifier_jit=not args.no_verifier_jit,
     )
     multi = kernel.run_many(
         [installed.binary], timeslice=getattr(args, "timeslice", 5000) or 5000
@@ -274,71 +272,30 @@ def _cmd_attacks(args) -> int:
         run_cross_process_attacks,
         run_net_attacks,
     )
+    from repro.kernel.config import CONFIGS
 
-    # The battery runs under every execution-engine configuration
-    # (interp, threaded with and without block chaining, threaded with
-    # the verifier JIT disabled): the verdicts are a security property
-    # and must not depend on how the CPU is emulated or how the
-    # verification path is specialized.
-    configs = [
-        ("interp", True, True),
-        ("threaded", True, True),
-        ("threaded", False, True),
-        ("threaded", True, False),
-    ]
-
-    def _label(engine: str, chain: bool, verifier_jit: bool) -> str:
-        label = engine
-        if not chain:
-            label += " (no chain)"
-        if not verifier_jit:
-            label += " (no verifier jit)"
-        return label
-
+    # The batteries run under every engine configuration: the verdicts
+    # are a security property and must not depend on how the CPU is
+    # emulated or which verification path serves a trap.  Every attack
+    # must be blocked except the undefended Frankenstein run, which
+    # demonstrates the §5.5 vulnerability the defense exists for.
     failures = 0
-    for engine, chain, verifier_jit in configs:
-        results = run_all_attacks(
-            _key_from(args), engine=engine, chain=chain, verifier_jit=verifier_jit
-        )
-        width = max(len(r.name) for r in results)
-        print(f"-- engine: {_label(engine, chain, verifier_jit)}")
-        for result in results:
-            expected_block = result.name != "frankenstein/undefended"
-            status = "BLOCKED" if result.blocked else "succeeded"
-            marker = "ok" if result.blocked == expected_block else "UNEXPECTED"
-            print(f"{result.name.ljust(width)}  {status:10s} [{marker}]")
-            if result.blocked != expected_block:
-                failures += 1
-    # Multiprogramming battery: cross-process attacks under the
-    # preemptive scheduler.  Every one of these must be blocked.
-    for engine, chain, verifier_jit in configs:
-        results = run_cross_process_attacks(
-            _key_from(args), engine=engine, chain=chain, verifier_jit=verifier_jit
-        )
-        width = max(len(r.name) for r in results)
-        print(
-            f"-- engine: {_label(engine, chain, verifier_jit)} (cross-process)"
-        )
-        for result in results:
-            status = "BLOCKED" if result.blocked else "succeeded"
-            marker = "ok" if result.blocked else "UNEXPECTED"
-            print(f"{result.name.ljust(width)}  {status:10s} [{marker}]")
-            if not result.blocked:
-                failures += 1
-    # Networking battery: attacks against the loopback socket stack's
-    # echo server.  Every one of these must be blocked too.
-    for engine, chain, verifier_jit in configs:
-        results = run_net_attacks(
-            _key_from(args), engine=engine, chain=chain, verifier_jit=verifier_jit
-        )
-        width = max(len(r.name) for r in results)
-        print(f"-- engine: {_label(engine, chain, verifier_jit)} (network)")
-        for result in results:
-            status = "BLOCKED" if result.blocked else "succeeded"
-            marker = "ok" if result.blocked else "UNEXPECTED"
-            print(f"{result.name.ljust(width)}  {status:10s} [{marker}]")
-            if not result.blocked:
-                failures += 1
+    for battery, suffix in (
+        (run_all_attacks, ""),
+        (run_cross_process_attacks, " (cross-process)"),
+        (run_net_attacks, " (network)"),
+    ):
+        for config in CONFIGS:
+            results = battery(_key_from(args), config)
+            width = max(len(r.name) for r in results)
+            print(f"-- config: {config.name}{suffix}")
+            for result in results:
+                expected_block = result.name != "frankenstein/undefended"
+                status = "BLOCKED" if result.blocked else "succeeded"
+                marker = "ok" if result.blocked == expected_block else "UNEXPECTED"
+                print(f"{result.name.ljust(width)}  {status:10s} [{marker}]")
+                if result.blocked != expected_block:
+                    failures += 1
     return 1 if failures else 0
 
 
@@ -480,8 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--file", action="append",
                          help="pre-populate the VFS: --file /path=content")
         cmd.add_argument("--no-fastpath", action="store_true",
-                         help="disable the per-site verification cache "
-                              "(every trap pays the full CMAC)")
+                         help="generic checker on every trap, full CMAC: "
+                              "the paper's cold cost model")
         cmd.add_argument("--engine", choices=ENGINES, default="threaded",
                          help="CPU execution engine: the basic-block "
                               "translation cache (threaded, default) or the "
@@ -490,9 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="disable direct block chaining and superblock "
                               "fusion in the threaded engine (plain "
                               "per-block dispatch)")
-        cmd.add_argument("--no-verifier-jit", action="store_true",
-                         help="disable per-site verifier specialization "
-                              "(every trap runs the generic staged checker)")
 
     cmd = commands.add_parser("run", help="run under the checking kernel")
     _add_run_arguments(cmd)
@@ -545,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cmd.add_argument(
         "--config", action="append", metavar="NAME",
-        help="engine config to sweep (repeatable; default: all five)",
+        help="engine config to sweep (repeatable; default: all)",
     )
     cmd.add_argument(
         "--kind", action="append", metavar="KIND",
@@ -575,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cmd.add_argument(
         "--config", action="append", metavar="NAME",
-        help="engine config to compare (repeatable; default: all five)",
+        help="engine config to compare (repeatable; default: all)",
     )
     cmd.add_argument(
         "--timeslice", type=int, default=200,

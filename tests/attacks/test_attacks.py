@@ -15,6 +15,7 @@ from repro.attacks import (
     shellcode_attack,
 )
 from repro.crypto import Key
+from repro.kernel.config import configs_named
 
 KEY = Key.from_passphrase("attack-tests", provider="fast-hmac")
 
@@ -84,7 +85,8 @@ class TestBattery:
     def test_verdicts_independent_of_chaining(self, results):
         # Block chaining is a pure engine optimisation; disabling it
         # must not change a single verdict or kill reason.
-        nochain = run_all_attacks(KEY, chain=False)
+        (no_chain,) = configs_named(["no-chain"])
+        nochain = run_all_attacks(KEY, no_chain)
         assert [(r.name, r.blocked, r.kill_reason) for r in nochain] == \
             [(r.name, r.blocked, r.kill_reason) for r in results]
 

@@ -9,6 +9,7 @@ from repro.attacks.crossproc import (
     pipe_fed_tamper_attack,
 )
 from repro.crypto import Key
+from repro.kernel.config import configs_named
 
 
 @pytest.fixture(scope="module")
@@ -36,16 +37,10 @@ class TestCrossProcessAttacks:
         """Verdicts are a security property: identical under the
         interpreter, with the verification cache disabled, and with
         block chaining on or off."""
-        for engine, fastpath, chain in (
-            ("interp", True, True),
-            ("threaded", False, True),
-            ("threaded", True, False),
-        ):
-            results = run_cross_process_attacks(
-                key, fastpath=fastpath, engine=engine, chain=chain
-            )
+        for config in configs_named(["interp", "no-fastpath", "no-chain"]):
+            results = run_cross_process_attacks(key, config)
             assert [r.blocked for r in results] == [True, True, True], (
-                engine, fastpath, chain)
+                config.name)
 
     def test_single_process_battery_shape_unchanged(self, key):
         """run_all_attacks keeps its published 7-scenario shape; the

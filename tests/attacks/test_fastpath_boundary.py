@@ -133,9 +133,11 @@ class TestPostWarmupTampering:
 class TestBatteryParity:
     def test_attack_battery_identical_without_fastpath(self):
         from repro.attacks import run_all_attacks
+        from repro.kernel.config import configs_named
 
-        hot = run_all_attacks(KEY, fastpath=True)
-        cold = run_all_attacks(KEY, fastpath=False)
+        hot_config, cold_config = configs_named(["chained", "no-fastpath"])
+        hot = run_all_attacks(KEY, hot_config)
+        cold = run_all_attacks(KEY, cold_config)
         assert [(r.name, r.blocked) for r in hot] == [
             (r.name, r.blocked) for r in cold
         ]

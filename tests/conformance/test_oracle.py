@@ -1,10 +1,10 @@
-"""Oracle behavior: five-config equality, signature contents,
+"""Oracle behavior: every-config equality, signature contents,
 divergence detection on synthetic outcomes."""
 
 from repro.crypto import Key
+from repro.kernel.config import CONFIGS
 from repro.conformance.grammar import GenOp, ProgramSpec
 from repro.conformance.oracle import (
-    ENGINE_CONFIGS,
     ProgramOutcome,
     divergences,
     install_spec,
@@ -29,9 +29,9 @@ BROAD_SPEC = ProgramSpec(
 )
 
 
-def test_all_five_configs_agree():
+def test_all_configs_agree():
     outcomes = run_all_configs(KEY, install_spec(BROAD_SPEC, KEY))
-    assert set(outcomes) == {config.name for config in ENGINE_CONFIGS}
+    assert set(outcomes) == {config.name for config in CONFIGS}
     assert divergences(outcomes) == []
     for outcome in outcomes.values():
         assert outcome.clean
@@ -39,7 +39,7 @@ def test_all_five_configs_agree():
 
 
 def test_outcome_has_trace_digests_and_families():
-    config = ENGINE_CONFIGS[0]
+    config = CONFIGS[0]
     outcome = run_program(KEY, config, install_spec(BROAD_SPEC, KEY))
     # fork twice (pipe + socket ops) -> three processes.
     assert len(outcome.per_task) == 3
@@ -53,7 +53,7 @@ def test_outcome_has_trace_digests_and_families():
 
 def test_fingerprint_is_stable_across_runs():
     installed = install_spec(BROAD_SPEC, KEY)
-    config = ENGINE_CONFIGS[0]
+    config = CONFIGS[0]
     first = run_program(KEY, config, installed)
     second = run_program(KEY, config, installed)
     assert first.fingerprint() == second.fingerprint()

@@ -376,11 +376,12 @@ class TestKernelWorkloads:
 
     def test_attack_battery_verdicts_identical(self):
         from repro.attacks import run_all_attacks
+        from repro.kernel.config import configs_named
 
         verdicts = {}
-        for label, (engine, chain) in CONFIGS.items():
-            results = run_all_attacks(KEY, engine=engine, chain=chain)
-            verdicts[label] = [
+        for config in configs_named(["interp", "no-chain", "chained"]):
+            results = run_all_attacks(KEY, config)
+            verdicts[config.name] = [
                 (r.name, r.blocked, r.kill_reason) for r in results
             ]
         for label, verdict in verdicts.items():

@@ -72,10 +72,8 @@ def test_plans_are_frozen_and_serializable():
 
 
 def test_config_roster():
-    # The five engine configurations the coverage contract names.
-    assert CONFIG_NAMES == (
-        "interp", "chained", "no-chain", "no-verifier-jit", "no-fastpath"
-    )
+    # The engine configurations the coverage contract names.
+    assert CONFIG_NAMES == ("interp", "chained", "no-chain", "no-fastpath")
     assert configs_named() == CONFIGS
     assert [c.name for c in configs_named(["interp", "no-chain"])] == [
         "interp", "no-chain"

@@ -1,10 +1,11 @@
-"""The per-site verification fast path (VerifiedSiteCache).
+"""The per-site verification fast path (the verifier's verified pairs).
 
-Covers the cache's unit semantics, the kernel-level counters surfaced
-through the audit log, the ``fastpath=False`` escape hatch, and the
-cycle accounting that makes a cached check visibly cheaper than a cold
-one.  The *security* boundary of the cache — tampering after warm-up —
-is exercised in tests/attacks/test_fastpath_boundary.py.
+Covers the verified-pair unit semantics of :class:`VerifierJit`, the
+kernel-level counters surfaced through the audit log, the
+``fastpath=False`` cold path, and the cycle accounting that makes a
+fast-path check visibly cheaper than a cold one.  The *security*
+boundary — tampering after warm-up — is exercised in
+tests/attacks/test_fastpath_boundary.py.
 """
 
 import pytest
@@ -13,7 +14,8 @@ from repro.asm import assemble
 from repro.binfmt import link
 from repro.crypto import Key
 from repro.installer import install
-from repro.kernel import FastPathStats, Kernel, VerifiedSiteCache
+from repro.kernel import CostModel, FastPathStats, Kernel, VerifierJit
+from repro.crypto import mac_provider_for_key
 from repro.policy.descriptor import PolicyDescriptor
 from repro.workloads.runtime import runtime_source
 
@@ -42,22 +44,26 @@ def installed():
     return install(binary, KEY)
 
 
+def _verifier() -> VerifierJit:
+    return VerifierJit(mac_provider_for_key(KEY), CostModel())
+
+
 class TestCacheUnit:
     DESC = PolicyDescriptor(bits=0x5)
 
     def test_probe_misses_cold(self):
-        cache = VerifiedSiteCache()
+        cache = _verifier()
         assert not cache.probe(0x1000, self.DESC, b"encoded", b"mac")
-        assert cache.misses == 1 and cache.hits == 0
+        assert cache.pairs == 0
 
     def test_store_then_probe_hits(self):
-        cache = VerifiedSiteCache()
+        cache = _verifier()
         cache.store(0x1000, self.DESC, b"encoded", b"mac")
         assert cache.probe(0x1000, self.DESC, b"encoded", b"mac")
-        assert cache.hits == 1
+        assert cache.pairs == 1
 
     def test_any_divergence_misses(self):
-        cache = VerifiedSiteCache()
+        cache = _verifier()
         cache.store(0x1000, self.DESC, b"encoded", b"mac")
         assert not cache.probe(0x1000, self.DESC, b"Encoded", b"mac")
         assert not cache.probe(0x1000, self.DESC, b"encoded", b"Mac")
@@ -69,21 +75,29 @@ class TestCacheUnit:
         assert cache.probe(0x1000, self.DESC, b"encoded", b"mac")
 
     def test_invalidate_reports_dropped_entries(self):
-        cache = VerifiedSiteCache()
+        cache = _verifier()
         cache.store(0x1000, self.DESC, b"a", b"m1")
         cache.store(0x2000, self.DESC, b"b", b"m2")
-        assert len(cache) == 2
+        assert cache.pairs == 2
         assert cache.invalidate() == 2
-        assert len(cache) == 0
+        assert cache.pairs == 0
         assert not cache.probe(0x1000, self.DESC, b"a", b"m1")
 
-    def test_overflow_flushes(self):
-        cache = VerifiedSiteCache()
-        for site in range(VerifiedSiteCache.MAX_SITES):
-            cache.store(site, self.DESC, b"e", b"m")
-        assert len(cache) == VerifiedSiteCache.MAX_SITES
+    def test_overflow_flushes(self, installed):
+        # Overflow flushes the verified pairs and the compiled thunks
+        # together: a thunk never outlives the pair it was built from.
+        kernel = Kernel(key=KEY)
+        process, vm = kernel.load(installed.binary)
+        while vm.syscall_count < 3:
+            assert vm.step()
+        cache = kernel._verifiers[process.pid]
+        assert len(cache) > 0 and cache.pairs > 0
+        for site in range(cache.pairs, VerifierJit.MAX_SITES):
+            cache.store(0x100000 + site, self.DESC, b"e", b"m")
+        assert cache.pairs == VerifierJit.MAX_SITES
         cache.store(0xFFFFFF, self.DESC, b"e", b"m")
-        assert len(cache) == 1
+        assert cache.pairs == 1
+        assert len(cache) == 0
 
 
 class TestFastPathStats:
@@ -164,7 +178,7 @@ class TestMemoizedAsParsing:
         record = read_auth_record(
             vm.memory, image.address_of(installed.site_records[site])
         )
-        cache = VerifiedSiteCache()
+        cache = _verifier()
         first = cache.read_as(vm.memory, record.predset_ptr)
         assert cache.read_as(vm.memory, record.predset_ptr) is first
         mutated = bytes([first.content[0] ^ 0xFF]) + first.content[1:]
@@ -172,3 +186,81 @@ class TestMemoizedAsParsing:
         reread = cache.read_as(vm.memory, record.predset_ptr)
         assert reread is not first
         assert reread.content == mutated
+
+
+EXECER_PROGRAM = """
+.section .text
+.global _start
+_start:
+    li r13, 5
+warm:
+    call sys_getpid
+    subi r13, r13, 1
+    cmpi r13, 0
+    bgt warm
+    li r1, path
+    li r2, 0
+    li r3, 0
+    call sys_execve
+    li r1, 1
+    call sys_exit
+.section .rodata
+path:
+    .asciz "/bin/next"
+""" + runtime_source("linux", ("getpid", "execve", "exit"))
+
+
+class TestCountedOncePerTrap:
+    """Fast-path hits and misses are tallied once per authenticated
+    trap: in the registry-backed ``audit.fastpath`` and in one
+    per-process tally that feeds ``Task.fastpath_hits/misses``."""
+
+    @staticmethod
+    def _run_scheduled(kernel, binary):
+        traps = []
+        original = kernel.handle_trap
+
+        def spy(vm, authenticated):
+            if authenticated:
+                traps.append(vm.pc)
+            return original(vm, authenticated)
+
+        kernel.handle_trap = spy
+        multi = kernel.run_many([binary], timeslice=400)
+        tasks = list(multi.scheduler.tasks.values())
+        assert not any(task.killed for task in tasks)
+        return len(traps), tasks
+
+    @staticmethod
+    def _assert_invariants(kernel, traps, tasks):
+        stats = kernel.audit.fastpath
+        assert traps > 0
+        assert stats.hits + stats.misses == traps
+        assert kernel.metrics.get("verifier.thunk_hits") <= stats.hits
+        assert sum(task.fastpath_hits for task in tasks) == stats.hits
+        assert sum(task.fastpath_misses for task in tasks) == stats.misses
+
+    def test_chained_loop(self, installed):
+        kernel = Kernel(key=KEY)
+        traps, tasks = self._run_scheduled(kernel, installed.binary)
+        assert kernel.metrics.get("verifier.thunk_hits") > 0
+        self._assert_invariants(kernel, traps, tasks)
+
+    def test_netserver_fork_path(self):
+        from repro.workloads.netserver import build_netserver
+
+        binary = install(build_netserver(clients=2, requests=3), KEY).binary
+        kernel = Kernel(key=KEY)
+        traps, tasks = self._run_scheduled(kernel, binary)
+        assert len(tasks) == 3 and kernel.metrics.get("sched.forks") == 2
+        self._assert_invariants(kernel, traps, tasks)
+
+    def test_execve_path(self, installed):
+        execer = install(
+            assemble(EXECER_PROGRAM, metadata={"program": "fpexec"}), KEY
+        )
+        kernel = Kernel(key=KEY)
+        kernel.vfs.write_file("/bin/next", installed.binary.to_bytes())
+        traps, tasks = self._run_scheduled(kernel, execer.binary)
+        assert kernel.metrics.get("sched.execs") == 1
+        self._assert_invariants(kernel, traps, tasks)

@@ -5,7 +5,8 @@ Lifecycle: thunks are compiled on first full verification of a
 write-version guards, and partitioned per pid — exit and execve drop
 the partition, fork children start empty.  Soundness: everything here
 must be invisible except in host time, so cycle accounting and attack
-verdicts are asserted bit-identical with the JIT on and off.
+verdicts are asserted bit-identical with thunks on and off (off: every
+trap falls back to the generic checker and its verified pairs).
 """
 
 import pytest
@@ -14,7 +15,7 @@ from repro.asm import assemble
 from repro.binfmt import link
 from repro.crypto import Key
 from repro.installer import install
-from repro.kernel import Kernel
+from repro.kernel import Kernel, VerifierJit
 from repro.obs import TraceRecorder
 from repro.workloads.runtime import runtime_source
 
@@ -71,6 +72,13 @@ def installed_open():
     return install(assemble(OPEN_PROGRAM, metadata={"program": "vjopen"}), KEY)
 
 
+@pytest.fixture
+def no_thunks(monkeypatch):
+    """Thunks never serve a trap: the generic checker (with the
+    verifier's verified pairs) handles every one."""
+    monkeypatch.setattr(VerifierJit, "execute", lambda self, vm, process: None)
+
+
 def _run(installed, **kernel_kwargs):
     kernel = Kernel(key=KEY, **kernel_kwargs)
     kernel.vfs.write_file("/etc/motd", b"greetings")
@@ -98,21 +106,17 @@ class TestThunkReuse:
 
     def test_partition_dropped_at_exit(self, installed_loop):
         kernel, _ = _run(installed_loop)
-        assert kernel._jits == {}
+        assert kernel._verifiers == {}
         # Every compiled thunk was eventually invalidated (at exit).
         assert (kernel.metrics.get("verifier.thunks_invalidated")
                 == kernel.metrics.get("verifier.thunks_compiled"))
 
-    def test_escape_hatch_never_compiles(self, installed_loop):
-        kernel, _ = _run(installed_loop, verifier_jit=False)
-        assert kernel.metrics.get("verifier.thunks_compiled") == 0
-        assert kernel.metrics.get("verifier.thunk_hits") == 0
-
     def test_jit_rides_on_the_fastpath(self, installed_loop):
-        # No fast path, no thunks: the JIT extends the cache's
-        # invalidation machinery and never outlives it.
+        # No fast path, no verifier: thunks, pairs and their counters
+        # all stay untouched.
         kernel, _ = _run(installed_loop, fastpath=False)
         assert kernel.metrics.get("verifier.thunks_compiled") == 0
+        assert kernel.metrics.get("verifier.thunk_hits") == 0
 
 
 class TestBitIdentity:
@@ -121,7 +125,9 @@ class TestBitIdentity:
         installed = request.getfixturevalue(fixture)
         baseline = None
         for jit in (True, False):
-            kernel, result = _run(installed, verifier_jit=jit)
+            if not jit:
+                request.getfixturevalue("no_thunks")
+            kernel, result = _run(installed)
             snapshot = (
                 result.cycles,
                 result.instructions,
@@ -166,7 +172,7 @@ def _warm(installed, **kernel_kwargs):
 class TestGuardInvalidation:
     def test_policy_record_write_voids_and_recompiles(self, installed_open):
         kernel, process, vm = _warm(installed_open)
-        jit = kernel._jits[process.pid]
+        jit = kernel._verifiers[process.pid]
         open_site = installed_open.site_for_syscall("open")
         assert jit.thunk_at(open_site) is not None
         compiled_before = kernel.metrics.get("verifier.thunks_compiled")
@@ -185,12 +191,62 @@ class TestGuardInvalidation:
         # The site re-verified in full and was specialized again.
         assert kernel.metrics.get("verifier.thunks_compiled") > compiled_before
 
+    def test_identical_rewrite_falls_back_to_verified_pair(self, installed_open):
+        # A forced write of the same bytes over the site's .authdata
+        # record bumps the guard version: the next trap at the site
+        # must fall back to the generic checker, be served by the
+        # verified pair at exactly the thunk-hit price, and recompile.
+        kernel, process, vm = _warm(installed_open)
+        verifier = kernel._verifiers[process.pid]
+        open_site = installed_open.site_for_syscall("open")
+        thunk = verifier.thunk_at(open_site)
+        assert thunk is not None
+        image = link(installed_open.binary)
+        record = image.address_of(installed_open.site_records[open_site])
+        vm.memory.write(record, vm.memory.read(record, 4, force=True), force=True)
+
+        generic = []
+        check = kernel._checker.check
+
+        def spy(vm_, process_, verifier_=None):
+            result = check(vm_, process_, verifier_)
+            generic.append((vm_.pc, result))
+            return result
+
+        kernel._checker.check = spy
+        hits_before = kernel.audit.fastpath.hits
+        while not generic:
+            assert vm.step()
+        site, result = generic[0]
+        assert site == open_site
+        assert result.cache_hits == 1 and result.cache_misses == 0
+        assert result.cycles == thunk.cycles
+        assert kernel.audit.fastpath.hits == hits_before + 1
+        recompiled = verifier.thunk_at(open_site)
+        assert recompiled is not None and recompiled is not thunk
+
+    def test_changed_rewrite_dies_on_call_mac(self, installed_open):
+        from repro.kernel.auth import violation_family
+        from repro.policy.record import CORE_SIZE
+
+        kernel, process, vm = _warm(installed_open)
+        open_site = installed_open.site_for_syscall("open")
+        assert kernel._verifiers[process.pid].thunk_at(open_site) is not None
+        image = link(installed_open.binary)
+        record = image.address_of(installed_open.site_records[open_site])
+        mac_byte = record + CORE_SIZE - 1  # last byte of the call MAC
+        flipped = vm.memory.read(mac_byte, 1, force=True)[0] ^ 0x01
+        vm.memory.write(mac_byte, bytes([flipped]), force=True)
+        vm.run()
+        assert vm.killed
+        assert violation_family(vm.kill_reason) == "call-mac"
+
     def test_guard_churn_stops_recompilation(self, installed_open):
         # A site whose policy material is written before every trap
         # must not recompile forever: after MAX_RECOMPILES guard
         # failures the generic path serves it (correctness unchanged).
         kernel, process, vm = _warm(installed_open)
-        jit = kernel._jits[process.pid]
+        jit = kernel._verifiers[process.pid]
         open_site = installed_open.site_for_syscall("open")
         image = link(installed_open.binary)
         record = image.address_of(installed_open.site_records[open_site])
@@ -221,13 +277,14 @@ class TestTamperAfterWarmup:
         ("polstate", "policy state"),
     ])
     def test_tamper_killed_with_jit_on_and_off(
-        self, installed_open, mutation, fragment
+        self, installed_open, mutation, fragment, request
     ):
         reasons = []
         for jit in (True, False):
-            kernel, process, vm = _warm(installed_open, verifier_jit=jit)
-            if jit:
-                assert kernel.metrics.get("verifier.thunk_hits") > 0
+            if not jit:
+                request.getfixturevalue("no_thunks")
+            kernel, process, vm = _warm(installed_open)
+            assert (kernel.metrics.get("verifier.thunk_hits") > 0) == jit
             image = link(installed_open.binary)
             if mutation == "string":
                 vm.memory.write(
@@ -287,7 +344,7 @@ cloop:
         def spy(vm, authenticated):
             process = kernel._vm_process.get(id(vm))
             if process is not None:
-                jit = kernel._jits.get(process.pid)
+                jit = kernel._verifiers.get(process.pid)
                 if jit is not None:
                     observations.setdefault(process.pid, []).append(
                         (id(jit), len(jit))
@@ -343,8 +400,8 @@ path:
 
         def spy(vm, authenticated):
             process = kernel._vm_process.get(id(vm))
-            if process is not None and process.pid in kernel._jits:
-                lens.append(len(kernel._jits[process.pid]))
+            if process is not None and process.pid in kernel._verifiers:
+                lens.append(len(kernel._verifiers[process.pid]))
             return original(vm, authenticated)
 
         kernel.handle_trap = spy

@@ -11,21 +11,13 @@ import pytest
 from repro.crypto import Key
 from repro.installer import install
 from repro.kernel import Kernel
+from repro.kernel.config import CONFIGS
 from repro.workloads.netserver import build_netserver
 
 KEY = Key.from_passphrase("netserver-tests", provider="fast-hmac")
 CLIENTS = 3
 REQUESTS = 3
 TIMESLICE = 350
-
-#: The five engine configurations the security batteries sweep.
-ENGINE_CONFIGS = (
-    ("interp", dict(engine="interp")),
-    ("chained", dict(engine="threaded", chain=True)),
-    ("no-chain", dict(engine="threaded", chain=False)),
-    ("no-verifier-jit", dict(engine="threaded", verifier_jit=False)),
-    ("no-fastpath", dict(engine="threaded", fastpath=False)),
-)
 
 
 @pytest.fixture(scope="module")
@@ -77,10 +69,10 @@ class TestNetserverCompletes:
 
 
 class TestEngineBitIdentity:
-    def test_identical_across_all_five_configs(self, installed):
+    def test_identical_across_all_configs(self, installed):
         runs = {
-            name: _run(installed, **kwargs)
-            for name, kwargs in ENGINE_CONFIGS
+            config.name: _run(installed, **config.kernel_kwargs())
+            for config in CONFIGS
         }
         reference = runs["interp"]
         assert reference["statuses"] == (0,) + (REQUESTS,) * CLIENTS
