@@ -1,5 +1,5 @@
-"""Host wall-clock throughput: interpreter vs threaded engine vs
-threaded engine with direct block chaining.
+"""Host wall-clock throughput: interpreter vs the threaded engine with
+direct block chaining.
 
 Every other benchmark in this suite measures *simulated* cycles, which
 are engine-invariant by construction.  This one measures what the
@@ -7,17 +7,14 @@ tentpole optimisations actually buy: real host instructions/second for
 the execution engine configurations on three CPU-bound macro
 workloads.  It also re-checks the engines' bit-identity contract on
 the exact binaries it times (same cycles, instructions, syscalls, exit
-status) — across the interpreter, the plain threaded engine, the
-chained threaded engine, and a run under the preemptive scheduler.
+status) — across the interpreter, the chained threaded engine, and a
+run under the preemptive scheduler.
 
 Columns:
 
 - ``interp`` — the reference interpreter.
-- ``threaded`` — per-block dispatch, chaining disabled (``chain=False``,
-  i.e. the PR 2 engine).  Kept as its own column so the chaining
-  speedup is measured against a stable baseline.
-- ``threaded_chained`` — direct block chaining + superblock fusion
-  (the default engine configuration).
+- ``threaded_chained`` — the translation cache with direct block
+  chaining + superblock fusion (the default engine configuration).
 - ``threaded_sched`` — the chained engine under the preemptive
   scheduler with a generous timeslice (sched-parity gate).
 
@@ -59,18 +56,13 @@ WORKLOADS = ("gzip-spec", "crafty", "twolf")
 
 JSON_PATH = pathlib.Path(__file__).parent.parent / "BENCH_host_wallclock.json"
 
-#: PR 2 acceptance gate: guest instructions/sec under the plain
-#: threaded engine must be at least this multiple of the interpreter's
-#: (all workloads, full scale).
+#: Guest instructions/sec under the chained threaded engine must be at
+#: least this multiple of the interpreter's (all workloads, full scale).
 SPEEDUP_GATE = 3.0
 
-#: PR 6 acceptance gates, measured on ``CHAIN_GATE_WORKLOAD`` at full
-#: scale: the chained engine must beat the interpreter by
-#: ``CHAINED_VS_INTERP_GATE`` and the plain threaded engine by
-#: ``CHAINED_VS_THREADED_GATE``.
+#: The stricter floor on ``CHAIN_GATE_WORKLOAD`` at full scale.
 CHAIN_GATE_WORKLOAD = "gzip-spec"
 CHAINED_VS_INTERP_GATE = 5.0
-CHAINED_VS_THREADED_GATE = 1.3
 
 #: The §3.4 verification stages (plus the verifier JIT's own compile
 #: span): the share of traced time they consume is the per-syscall
@@ -132,16 +124,16 @@ def _best_of(run_once) -> dict:
     return best
 
 
-def _time_run(name: str, engine: str, iterations: int, chain: bool) -> dict:
+def _time_run(name: str, engine: str, iterations: int) -> dict:
     binary = install(build_spec_program(name, iterations=iterations),
                      BENCH_KEY).binary
 
     def run_once() -> dict:
-        kernel = Kernel(key=BENCH_KEY, engine=engine, chain=chain)
+        kernel = Kernel(key=BENCH_KEY, engine=engine)
         start = time.perf_counter()
         result = kernel.run(binary, argv=[name], max_instructions=500_000_000)
         host_seconds = time.perf_counter() - start
-        assert result.ok, (name, engine, chain, result.kill_reason)
+        assert result.ok, (name, engine, result.kill_reason)
         return {
             "host_seconds": host_seconds,
             "instructions": result.instructions,
@@ -238,11 +230,8 @@ def test_host_wallclock(benchmark, report):
             planned, _ = SPEC_PROGRAMS[name].plan()
             iterations = max(2, int(planned * scale))
             measured[name] = {
-                "interp": _time_run(name, "interp", iterations, chain=True),
-                "threaded": _time_run(name, "threaded", iterations,
-                                      chain=False),
-                "threaded_chained": _time_run(name, "threaded", iterations,
-                                              chain=True),
+                "interp": _time_run(name, "interp", iterations),
+                "threaded_chained": _time_run(name, "threaded", iterations),
                 "threaded_sched": _time_run_sched(name, iterations),
                 "iterations": iterations,
             }
@@ -256,7 +245,6 @@ def test_host_wallclock(benchmark, report):
         "scale": scale,
         "speedup_gate": SPEEDUP_GATE,
         "chained_vs_interp_gate": CHAINED_VS_INTERP_GATE,
-        "chained_vs_threaded_gate": CHAINED_VS_THREADED_GATE,
         "chain_gate_workload": CHAIN_GATE_WORKLOAD,
         "verify_gate_workload": VERIFY_GATE_WORKLOAD,
         "verify_share_pr6_baseline": VERIFY_SHARE_PR6_BASELINE,
@@ -265,19 +253,14 @@ def test_host_wallclock(benchmark, report):
     }
     for name in workloads:
         interp = measured[name]["interp"]
-        threaded = measured[name]["threaded"]
         chained = measured[name]["threaded_chained"]
         sched = measured[name]["threaded_sched"]
-        speedup = threaded["ips"] / interp["ips"]
         chained_speedup = chained["ips"] / interp["ips"]
-        chain_gain = chained["ips"] / threaded["ips"]
         sched_parity = sched["ips"] / chained["ips"]
 
         # Bit-identity on the timed binaries: wall clock may differ,
-        # architecture must not — including with chaining and under
-        # the scheduler.
+        # architecture must not — including under the scheduler.
         for field in ("instructions", "cycles", "syscalls", "exit_status"):
-            assert interp[field] == threaded[field], (name, field)
             assert interp[field] == chained[field], (name, "chained", field)
             assert interp[field] == sched[field], (name, "sched", field)
 
@@ -291,11 +274,8 @@ def test_host_wallclock(benchmark, report):
             measured[name]["iterations"],
             interp["instructions"],
             f"{interp['ips'] / 1e3:.0f}k",
-            f"{threaded['ips'] / 1e3:.0f}k",
             f"{chained['ips'] / 1e3:.0f}k",
-            f"{speedup:.2f}x",
             f"{chained_speedup:.2f}x",
-            f"{chain_gain:.2f}x",
             f"{sched_parity:.2f}x",
             f"{verify_share:.1%}",
         ])
@@ -306,10 +286,6 @@ def test_host_wallclock(benchmark, report):
                 "host_seconds": round(interp["host_seconds"], 4),
                 "instructions_per_second": round(interp["ips"]),
             },
-            "threaded": {
-                "host_seconds": round(threaded["host_seconds"], 4),
-                "instructions_per_second": round(threaded["ips"]),
-            },
             "threaded_chained": {
                 "host_seconds": round(chained["host_seconds"], 4),
                 "instructions_per_second": round(chained["ips"]),
@@ -318,26 +294,22 @@ def test_host_wallclock(benchmark, report):
                 "host_seconds": round(sched["host_seconds"], 4),
                 "instructions_per_second": round(sched["ips"]),
             },
-            "speedup": round(speedup, 2),
             "chained_speedup": round(chained_speedup, 2),
-            "chain_gain": round(chain_gain, 2),
             "sched_parity": round(sched_parity, 3),
             "verify_share": verify_share,
             "observability": observability,
         }
 
         # The gates: never slower than the interpreter; the full-scale
-        # ratios are enforced per workload / per column.
-        assert speedup >= 1.0, (name, "threaded", speedup)
+        # ratios are enforced per workload.
         assert chained_speedup >= 1.0, (name, "threaded_chained",
                                         chained_speedup)
         if scale >= 1.0:
-            assert speedup >= SPEEDUP_GATE, (name, "threaded", speedup)
+            assert chained_speedup >= SPEEDUP_GATE, (
+                name, "threaded_chained vs interp", chained_speedup)
             if name == CHAIN_GATE_WORKLOAD:
                 assert chained_speedup >= CHAINED_VS_INTERP_GATE, (
                     name, "threaded_chained vs interp", chained_speedup)
-                assert chain_gain >= CHAINED_VS_THREADED_GATE, (
-                    name, "threaded_chained vs threaded", chain_gain)
             if name == VERIFY_GATE_WORKLOAD:
                 ceiling = (
                     VERIFY_SHARE_PR6_BASELINE / VERIFY_SHARE_IMPROVEMENT_GATE
@@ -348,16 +320,14 @@ def test_host_wallclock(benchmark, report):
 
     table = format_table(
         ["Workload", "Iterations", "Guest instrs",
-         "interp instr/s", "threaded instr/s", "chained instr/s",
-         "Thr/interp", "Chain/interp", "Chain/thr", "Sched parity",
-         "Verify share"],
+         "interp instr/s", "chained instr/s", "Chain/interp",
+         "Sched parity", "Verify share"],
         rows,
         title="Host wall-clock throughput: translation cache and "
               "direct block chaining vs reference interpreter "
-              f"(scale={scale}; full-scale gates: threaded>="
-              f"{SPEEDUP_GATE}x interp, chained>="
-              f"{CHAINED_VS_INTERP_GATE}x interp and >="
-              f"{CHAINED_VS_THREADED_GATE}x threaded on "
+              f"(scale={scale}; full-scale gates: chained>="
+              f"{SPEEDUP_GATE}x interp, >="
+              f"{CHAINED_VS_INTERP_GATE}x on "
               f"{CHAIN_GATE_WORKLOAD}; sched parity = single process "
               "under the scheduler vs chained; verify share = "
               "verification-stage self time / traced time, gated <= "

@@ -69,7 +69,7 @@ TIMING_REPEATS = int(os.environ.get("REPRO_NET_REPEATS", "3"))
 
 ENGINE_COLUMNS = (
     ("interp", dict(engine="interp")),
-    ("threaded_chained", dict(engine="threaded", chain=True)),
+    ("threaded_chained", dict(engine="threaded")),
 )
 
 

@@ -3,11 +3,10 @@
 Compares a freshly measured ``BENCH_host_wallclock.json`` against the
 last *committed* baseline and fails when an engine column's
 instructions/second drops below ``threshold`` (default 0.7) times the
-baseline on any workload both files measured.  Both the ``threaded``
-(chaining off) and ``threaded_chained`` columns are gated; the chained
-comparison is skipped per-workload when the committed baseline
-predates chaining.  The CI job snapshots the committed file before the
-bench overwrites it::
+baseline on any workload both files measured.  The gated column is
+``threaded_chained``; the comparison is skipped per-workload when the
+committed baseline predates chaining.  The CI job snapshots the
+committed file before the bench overwrites it::
 
     cp BENCH_host_wallclock.json /tmp/wallclock-baseline.json
     REPRO_BENCH_SCALE=0.2 ... pytest benchmarks/bench_host_wallclock.py ...
@@ -59,7 +58,7 @@ VERIFY_CREEP_ALLOWANCE = 1.5
 #: Engine columns gated against the committed baseline, in report
 #: order.  ``threaded_chained`` is absent from pre-chaining baselines
 #: and is then skipped (with a note) rather than failed.
-GATED_COLUMNS = ("threaded", "threaded_chained")
+GATED_COLUMNS = ("threaded_chained",)
 
 #: Minimum (scheduled single-process instr/sec) / (chained engine
 #: instr/sec), both from the CURRENT measurement: the scheduler must
@@ -107,15 +106,14 @@ def check_sched_parity(current: dict, threshold: float) -> list[str]:
     """Within the CURRENT measurement only (host-invariant ratio):
     running single-process under the scheduler must cost ~nothing
     relative to the chained engine it runs on.  Skipped per-workload
-    when the JSON predates the threaded_sched measurement; falls back
-    to the plain threaded column for pre-chaining JSON files."""
+    when the JSON predates the threaded_sched measurement."""
     failures = []
     for name, entry in sorted(current.get("workloads", {}).items()):
         sched = entry.get("threaded_sched")
         if not sched:
             print(f"{name:12s} sched parity: not measured [skipped]")
             continue
-        bare = entry.get("threaded_chained") or entry["threaded"]
+        bare = entry["threaded_chained"]
         bare_ips = bare["instructions_per_second"]
         sched_ips = sched["instructions_per_second"]
         ratio = sched_ips / bare_ips if bare_ips else float("inf")

@@ -94,17 +94,12 @@ class VM:
         stack_size: int = 0x40000,
         nx: bool = False,
         engine: str = "interp",
-        chain: bool = True,
         recorder: Recorder = NULL_RECORDER,
         map_stack: bool = True,
     ):
         if engine not in ENGINES:
             raise ValueError(f"unknown execution engine {engine!r}")
         self.engine = engine
-        #: Direct block chaining + superblock fusion in the threaded
-        #: engine (no effect under interp).  The --no-chain escape
-        #: hatch flips this off, restoring plain per-block dispatch.
-        self.chain = chain
         #: Observability hook shared with the kernel; the default
         #: NullRecorder singleton keeps guest execution span-free.
         self.recorder = recorder
@@ -289,10 +284,7 @@ class VM:
             span_depth = rec.open_spans
             rec.begin("execute", "engine")
         try:
-            if self.engine == "threaded":
-                self._run_threaded(max_instructions)
-            else:
-                self._run_interp(max_instructions)
+            self._execute(max_instructions, preempt=False)
         except ProcessExit as exit_info:
             self.exit_status = exit_info.status
             self.killed = exit_info.killed
@@ -319,19 +311,7 @@ class VM:
             span_depth = rec.open_spans
             rec.begin("execute", "engine")
         try:
-            if self.engine == "threaded":
-                from repro.cpu.threaded import BlockCache
-
-                cache = self._block_cache
-                if cache is None:
-                    cache = self._block_cache = BlockCache(self, chain=self.chain)
-                cache.run(max_instructions, preempt=True)
-            else:
-                budget = max_instructions
-                while budget > 0:
-                    if not self.step():
-                        return
-                    budget -= 1
+            self._execute(max_instructions, preempt=True)
         except ProcessExit as exit_info:
             self.exit_status = exit_info.status
             self.killed = exit_info.killed
@@ -340,21 +320,25 @@ class VM:
             if traced:
                 rec.close_to(span_depth)
 
-    def _run_interp(self, max_instructions: int) -> None:
+    def _execute(self, max_instructions: int, preempt: bool) -> None:
+        """Run the selected engine for at most ``max_instructions``.
+        An exhausted budget is a timeslice end under ``preempt`` and an
+        :class:`ExecutionFault` otherwise."""
+        if self.engine == "threaded":
+            from repro.cpu.threaded import BlockCache
+
+            cache = self._block_cache
+            if cache is None:
+                cache = self._block_cache = BlockCache(self)
+            cache.run(max_instructions, preempt)
+            return
         budget = max_instructions
         while budget > 0:
             if not self.step():
                 return
             budget -= 1
-        raise ExecutionFault(self.pc, "instruction budget exhausted")
-
-    def _run_threaded(self, max_instructions: int) -> None:
-        from repro.cpu.threaded import BlockCache
-
-        cache = self._block_cache
-        if cache is None:
-            cache = self._block_cache = BlockCache(self, chain=self.chain)
-        cache.run(max_instructions)
+        if not preempt:
+            raise ExecutionFault(self.pc, "instruction budget exhausted")
 
     # -- internals -------------------------------------------------------
 

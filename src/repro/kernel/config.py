@@ -1,12 +1,12 @@
 """The kernel/engine configurations.
 
 One :class:`EngineConfig` names one way to run the same machine: which
-CPU engine executes guest code, whether the threaded engine chains
-blocks, and whether the kernel keeps per-process verifiers (the fast
-path) or runs the generic checker on every trap.  Every configuration
-enforces the same authenticated-syscall semantics, so the attack
-battery, the fault sweep and the conformance oracle replay their work
-on each entry of :data:`CONFIGS` and demand identical verdicts.
+CPU engine executes guest code, and whether the kernel keeps
+per-process verifiers (the fast path) or runs the generic checker on
+every trap.  Every configuration enforces the same authenticated-syscall
+semantics, so the attack battery, the fault sweep and the conformance
+oracle replay their work on each entry of :data:`CONFIGS` and demand
+identical verdicts.
 """
 
 from __future__ import annotations
@@ -20,27 +20,20 @@ class EngineConfig:
 
     name: str
     engine: str
-    chain: bool = True
     fastpath: bool = True
 
     def kernel_kwargs(self) -> dict:
-        return {
-            "engine": self.engine,
-            "chain": self.chain,
-            "fastpath": self.fastpath,
-        }
+        return {"engine": self.engine, "fastpath": self.fastpath}
 
 
-#: The four configurations of the verification/execution stack: the
+#: The three configurations of the verification/execution stack: the
 #: reference interpreter, the chained threaded engine (the kernel's
-#: defaults), chaining disabled, and the fast path disabled (the
-#: generic checker with a full CMAC on every trap: the paper's cold
-#: cost model).  Detection coverage is a security property and must be
-#: identical on all four.
+#: defaults), and the fast path disabled (the generic checker with a
+#: full CMAC on every trap: the paper's cold cost model).  Detection
+#: coverage is a security property and must be identical on all three.
 CONFIGS = (
     EngineConfig("interp", "interp"),
     EngineConfig("chained", "threaded"),
-    EngineConfig("no-chain", "threaded", chain=False),
     EngineConfig("no-fastpath", "threaded", fastpath=False),
 )
 

@@ -97,7 +97,6 @@ class Kernel:
         nx: bool = False,
         fastpath: bool = True,
         engine: str = "threaded",
-        chain: bool = True,
         recorder: Optional[Recorder] = None,
     ):
         self.key = key or Key.generate()
@@ -129,10 +128,6 @@ class Kernel:
         #: basic-block translation cache, default) or "interp" (the
         #: reference interpreter).  Both are bit-identical by contract.
         self.engine = engine
-        #: Direct block chaining + superblock fusion in the threaded
-        #: engine (`chain=False`, the --no-chain escape hatch, restores
-        #: plain per-block dispatch).  Bit-identical either way.
-        self.chain = chain
         self._checker = AuthChecker(self.mac, self.costs, self.obs)
         self._verifiers: dict[int, VerifierJit] = {}
         #: Optional syscall tracer (duck-typed: .record(ctx)); used by
@@ -178,20 +173,25 @@ class Kernel:
             authenticated=image.metadata.get("authenticated") == "yes",
             stdin=stdin,
         )
-        vm = VM(
-            memory=memory,
-            entry=image.entry,
-            trap_handler=self,
-            nx=self.nx,
-            engine=self.engine,
-            chain=self.chain,
-            recorder=self.obs,
-        )
+        vm = self._new_vm(memory, image.entry)
         self._vm_process[id(vm)] = process
         self._capabilities[process.pid] = CapabilityTable()
         self._new_verifier(process.pid)
         self._setup_argv(vm, argv or [process.name])
         return process, vm
+
+    def _new_vm(self, memory: Memory, entry: int, map_stack: bool = True) -> VM:
+        """A guest CPU over ``memory`` with this kernel's engine, NX
+        setting and recorder (load, execve and fork all build one)."""
+        return VM(
+            memory=memory,
+            entry=entry,
+            trap_handler=self,
+            nx=self.nx,
+            engine=self.engine,
+            recorder=self.obs,
+            map_stack=map_stack,
+        )
 
     def _new_verifier(self, pid: int) -> None:
         """Give a pid a fresh, empty verifier (load/fork/execve) when
@@ -575,9 +575,14 @@ class Kernel:
         micros = (vm.cycles % self.cycles_per_second) * 1_000_000 // self.cycles_per_second
         return seconds, micros
 
-    def next_mmap_address(self, vm: VM, size: int) -> int:
+    def next_mmap_address(self, vm: VM, size: int) -> Optional[int]:
+        """Reserve ``size`` bytes (plus a guard page) at the process's
+        mmap cursor; None, with the cursor unmoved, when they do not
+        fit below the top of the 32-bit address space."""
         pid = self._vm_process[id(vm)].pid
         cursor = self._mmap_cursor.get(pid, 0x40000000)
+        if cursor + size > 0x1_0000_0000:
+            return None
         self._mmap_cursor[pid] = cursor + size + PAGE_SIZE
         return cursor
 
@@ -650,15 +655,7 @@ class Kernel:
         binary = self._resolve_executable(process, path)
         image = link(binary)
         memory, heap_base = self._map_image(image)
-        new_vm = VM(
-            memory=memory,
-            entry=image.entry,
-            trap_handler=self,
-            nx=self.nx,
-            engine=self.engine,
-            chain=self.chain,
-            recorder=self.obs,
-        )
+        new_vm = self._new_vm(memory, image.entry)
         # Accounting continuity: the scheduler's slice bookkeeping and
         # the guest-visible clock see one uninterrupted process.
         new_vm.cycles = old_vm.cycles
@@ -713,16 +710,8 @@ class Kernel:
                 )
             else:
                 memory.adopt_region(region)
-        child_vm = VM(
-            memory=memory,
-            entry=parent_vm.pc,
-            trap_handler=self,
-            nx=self.nx,
-            engine=self.engine,
-            chain=self.chain,
-            recorder=self.obs,
-            map_stack=False,  # the copied image already contains [stack]
-        )
+        # The copied image already contains [stack].
+        child_vm = self._new_vm(memory, parent_vm.pc, map_stack=False)
         child_vm.regs[:] = parent_vm.regs
         child_vm.flag_zero = parent_vm.flag_zero
         child_vm.flag_neg = parent_vm.flag_neg

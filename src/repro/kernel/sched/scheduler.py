@@ -3,10 +3,10 @@
 The run queue holds pids; each slice runs one task for at most
 ``timeslice`` *instructions* (all engine configurations account
 instructions identically, so the interleaving is bit-identical between
-``interp``, ``threaded``, and ``threaded`` with block chaining and
-superblocks).  Preemption happens at basic-block boundaries — the
-threaded engine returns control only between blocks, and the
-interpreter between instructions.  Chained successors and fused
+``interp`` and ``threaded`` with its block chaining and superblocks).
+Preemption happens at basic-block boundaries — the threaded engine
+returns control only between blocks, and the interpreter between
+instructions.  Chained successors and fused
 superblocks are only entered when the remaining timeslice covers them
 (the engine otherwise falls back to its dispatch loop and, for slices
 shorter than one block, to single-stepping), so the preemption point

@@ -747,6 +747,8 @@ def _mmap(ctx: SyscallContext) -> int:
         return Errno.EINVAL.as_result()
     size = (length + PAGE - 1) & ~(PAGE - 1)
     base = ctx.kernel.next_mmap_address(ctx.vm, size)
+    if base is None:
+        return Errno.ENOMEM.as_result()
     from repro.cpu.memory import PROT_READ, PROT_WRITE
 
     region = ctx.vm.memory.map_region(

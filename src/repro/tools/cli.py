@@ -115,7 +115,6 @@ def _run_under_kernel(args, trace_path: Optional[str] = None):
         mode=EnforcementMode.ENFORCE if args.enforce else EnforcementMode.PERMISSIVE,
         fastpath=not args.no_fastpath,
         engine=args.engine,
-        chain=not args.no_chain,
         recorder=recorder,
     )
     for spec in args.file or []:
@@ -197,7 +196,6 @@ def _cmd_run_net(args) -> int:
         mode=EnforcementMode.ENFORCE if args.enforce else EnforcementMode.PERMISSIVE,
         fastpath=not args.no_fastpath,
         engine=args.engine,
-        chain=not args.no_chain,
     )
     multi = kernel.run_many(
         [installed.binary], timeslice=getattr(args, "timeslice", 5000) or 5000
@@ -443,10 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="CPU execution engine: the basic-block "
                               "translation cache (threaded, default) or the "
                               "reference interpreter (interp)")
-        cmd.add_argument("--no-chain", action="store_true",
-                         help="disable direct block chaining and superblock "
-                              "fusion in the threaded engine (plain "
-                              "per-block dispatch)")
 
     cmd = commands.add_parser("run", help="run under the checking kernel")
     _add_run_arguments(cmd)

@@ -15,7 +15,6 @@ from repro.attacks import (
     shellcode_attack,
 )
 from repro.crypto import Key
-from repro.kernel.config import configs_named
 
 KEY = Key.from_passphrase("attack-tests", provider="fast-hmac")
 
@@ -81,14 +80,6 @@ class TestBattery:
     def test_all_defended_scenarios_blocked(self, results):
         defended = [r for r in results if r.name != "frankenstein/undefended"]
         assert all(r.blocked for r in defended)
-
-    def test_verdicts_independent_of_chaining(self, results):
-        # Block chaining is a pure engine optimisation; disabling it
-        # must not change a single verdict or kill reason.
-        (no_chain,) = configs_named(["no-chain"])
-        nochain = run_all_attacks(KEY, no_chain)
-        assert [(r.name, r.blocked, r.kill_reason) for r in nochain] == \
-            [(r.name, r.blocked, r.kill_reason) for r in results]
 
     def test_benign_run_unharmed(self):
         # The victim with a well-behaved input runs to completion and

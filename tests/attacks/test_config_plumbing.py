@@ -3,7 +3,7 @@
 Each battery is run once per :data:`repro.kernel.config.CONFIGS` entry
 with spies on ``Kernel.__init__`` and ``VM.__init__``; every kernel and
 every guest CPU an entry point builds — dry runs included — must carry
-that config's ``engine``, ``chain`` and ``fastpath``.
+that config's ``engine`` and ``fastpath``.
 """
 
 import functools
@@ -63,12 +63,11 @@ def test_every_kernel_carries_the_config(
 
     def kernel_spy(self, *args, **kwargs):
         kernel_init(self, *args, **kwargs)
-        seen.append((active[-1], "kernel",
-                     (self.engine, self.chain, self.fastpath)))
+        seen.append((active[-1], "kernel", (self.engine, self.fastpath)))
 
     def vm_spy(self, *args, **kwargs):
         vm_init(self, *args, **kwargs)
-        seen.append((active[-1], "vm", (self.engine, self.chain)))
+        seen.append((active[-1], "vm", (self.engine,)))
 
     monkeypatch.setattr(Kernel, "__init__", kernel_spy)
     monkeypatch.setattr(VM, "__init__", vm_spy)
@@ -77,8 +76,8 @@ def test_every_kernel_carries_the_config(
 
     assert results
     expected = {
-        "kernel": (config.engine, config.chain, config.fastpath),
-        "vm": (config.engine, config.chain),
+        "kernel": (config.engine, config.fastpath),
+        "vm": (config.engine,),
     }
     wrong = [entry for entry in seen if entry[2] != expected[entry[1]]]
     assert wrong == []

@@ -35,9 +35,9 @@ class TestCrossProcessAttacks:
 
     def test_battery_engine_and_fastpath_independent(self, key):
         """Verdicts are a security property: identical under the
-        interpreter, with the verification cache disabled, and with
-        block chaining on or off."""
-        for config in configs_named(["interp", "no-fastpath", "no-chain"]):
+        interpreter, with the chained engine, and with the fast path
+        off."""
+        for config in configs_named(["interp", "chained", "no-fastpath"]):
             results = run_cross_process_attacks(key, config)
             assert [r.blocked for r in results] == [True, True, True], (
                 config.name)

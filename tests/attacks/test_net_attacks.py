@@ -44,8 +44,8 @@ class TestNetworkAttacks:
 
     def test_battery_engine_and_fastpath_independent(self, key):
         """Verdicts and kill reasons are a security property: identical
-        under the interpreter, with chaining off, and with the fast
-        path off."""
+        under the interpreter, with the chained engine, and with the
+        fast path off."""
         reasons = {}
         for config in CONFIGS:
             results = run_net_attacks(key, config)

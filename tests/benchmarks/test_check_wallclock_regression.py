@@ -24,8 +24,7 @@ from benchmarks.check_wallclock_regression import (
 def _entry(ips, sched_ips=None, verify_share=None):
     entry = {
         "interp": {"instructions_per_second": ips // 4},
-        "threaded": {"instructions_per_second": ips},
-        "threaded_chained": {"instructions_per_second": ips * 2},
+        "threaded_chained": {"instructions_per_second": ips},
     }
     if sched_ips is not None:
         entry["threaded_sched"] = {"instructions_per_second": sched_ips}
@@ -50,9 +49,9 @@ def test_regression_below_threshold_fails_with_named_column():
     baseline = _doc(**{"gzip-spec": _entry(1_000_000)})
     current = _doc(**{"gzip-spec": _entry(500_000)})
     failures = compare(baseline, current, 0.7)
-    assert len(failures) == 2  # both gated columns halved
+    assert len(failures) == 1
     assert "gzip-spec" in failures[0]
-    assert "threaded" in failures[0]
+    assert "threaded_chained" in failures[0]
 
 
 def test_small_dip_within_threshold_passes():
@@ -93,14 +92,13 @@ def test_extra_baseline_workload_is_ignored():
 
 
 def test_sched_parity_ok_at_default_threshold():
-    current = _doc(**{"gzip-spec": _entry(1_000_000, sched_ips=1_960_000)})
+    current = _doc(**{"gzip-spec": _entry(1_000_000, sched_ips=980_000)})
     assert check_sched_parity(current, DEFAULT_SCHED_PARITY) == []
 
 
 def test_sched_parity_regression_detected():
-    # Chained column is 2x the threaded ips; sched at half of that is
-    # far under the 0.95 parity gate.
-    current = _doc(**{"gzip-spec": _entry(1_000_000, sched_ips=1_000_000)})
+    # Sched at half the chained column is far under the 0.95 gate.
+    current = _doc(**{"gzip-spec": _entry(1_000_000, sched_ips=500_000)})
     failures = check_sched_parity(current, DEFAULT_SCHED_PARITY)
     assert len(failures) == 1
     assert "scheduler overhead" in failures[0]
@@ -177,7 +175,7 @@ def _write(tmp_path, name, doc):
 
 
 def test_main_passes_on_identical_files(tmp_path):
-    doc = _doc(**{"gzip-spec": _entry(1_000_000, sched_ips=1_960_000)})
+    doc = _doc(**{"gzip-spec": _entry(1_000_000, sched_ips=980_000)})
     base = _write(tmp_path, "base.json", doc)
     curr = _write(tmp_path, "curr.json", doc)
     assert main(["--baseline", base, "--current", curr,

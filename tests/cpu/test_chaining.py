@@ -44,7 +44,7 @@ def _state(vm: VM, fault=None) -> dict:
     }
 
 
-def _source_vm(source: str, engine: str = "threaded", chain: bool = True) -> VM:
+def _source_vm(source: str, engine: str = "threaded") -> VM:
     image = link(assemble(source))
     memory = Memory()
     for segment in image.segments:
@@ -57,10 +57,10 @@ def _source_vm(source: str, engine: str = "threaded", chain: bool = True) -> VM:
             segment.vaddr, max(segment.size, 16), prot,
             name=segment.name, data=segment.data,
         )
-    return VM(memory=memory, entry=image.entry, engine=engine, chain=chain)
+    return VM(memory=memory, entry=image.entry, engine=engine)
 
 
-def _raw_vm(code: bytes, engine: str = "threaded", chain: bool = True,
+def _raw_vm(code: bytes, engine: str = "threaded",
             scratch: tuple = (0x8000, 4096)) -> VM:
     memory = Memory()
     memory.map_region(
@@ -70,7 +70,7 @@ def _raw_vm(code: bytes, engine: str = "threaded", chain: bool = True,
     if scratch is not None:
         memory.map_region(scratch[0], scratch[1],
                           PROT_READ | PROT_WRITE, name="scratch")
-    return VM(memory=memory, entry=0x1000, engine=engine, chain=chain)
+    return VM(memory=memory, entry=0x1000, engine=engine)
 
 
 HOT_LOOP = """
@@ -139,11 +139,10 @@ class TestPreImageInvalidation:
             Instruction(Op.JMP, imm=0x1000),
             Instruction(Op.HALT),
         ])
-        for chain in (False, True):
-            vm = _raw_vm(code, chain=chain)
-            vm.run()
-            assert vm.regs[1] == 77, f"chain={chain}"
-            assert vm._block_cache.invalidations >= 1
+        vm = _raw_vm(code)
+        vm.run()
+        assert vm.regs[1] == 77
+        assert vm._block_cache.invalidations >= 1
 
     def test_multi_page_write_invalidates_interior_pages(self):
         # Blocks on three consecutive pages, then one write spanning
@@ -197,9 +196,7 @@ blockb:
     halt
 """
         states = {}
-        for label, engine, chain in (("interp", "interp", True),
-                                     ("nochain", "threaded", False),
-                                     ("chained", "threaded", True)):
+        for label, engine in (("interp", "interp"), ("chained", "threaded")):
             image = link(assemble(source))
             memory = Memory()
             for segment in image.segments:
@@ -210,12 +207,10 @@ blockb:
                     segment.vaddr, max(segment.size, 16), prot,
                     name=segment.name, data=segment.data,
                 )
-            vm = VM(memory=memory, entry=image.entry, engine=engine,
-                    chain=chain)
+            vm = VM(memory=memory, entry=image.entry, engine=engine)
             vm.run()
             states[label] = _state(vm)
         assert states["chained"] == states["interp"]
-        assert states["nochain"] == states["interp"]
         # 299 iterations at 7, 301 at 90 after the patch.
         assert states["interp"]["regs"][6] == 299 * 7 + 301 * 90
 
@@ -249,25 +244,18 @@ blockb:
         assert cache_a.invalidations >= 1 and cache_b.invalidations >= 1
 
     def test_counters_exposed(self):
-        vm = _source_vm(HOT_LOOP, chain=True)
+        vm = _source_vm(HOT_LOOP)
         vm.run()
         cache = vm._block_cache
         assert cache.chains_linked > 0
         assert cache.superblocks_fused >= 1
-        off = _source_vm(HOT_LOOP, chain=False)
-        off.run()
-        cache_off = off._block_cache
-        assert cache_off.chains_linked == 0
-        assert cache_off.superblocks_fused == 0
-        assert off.regs[2] == vm.regs[2]
 
 
 class TestSuperblocks:
     def test_hot_cycle_fuses_and_matches_interp(self):
         vms = {}
-        for label, engine, chain in (("interp", "interp", True),
-                                     ("chained", "threaded", True)):
-            vm = _source_vm(HOT_LOOP, engine=engine, chain=chain)
+        for label, engine in (("interp", "interp"), ("chained", "threaded")):
+            vm = _source_vm(HOT_LOOP, engine=engine)
             vm.run()
             vms[label] = vm
         assert _state(vms["chained"]) == _state(vms["interp"])
@@ -295,10 +283,8 @@ class TestSuperblocks:
             Instruction(Op.HALT),                        # 0x1040
         ])
         states = {}
-        for label, engine, chain in (("interp", "interp", True),
-                                     ("chained", "threaded", True)):
-            vm = _raw_vm(code, engine=engine, chain=chain,
-                         scratch=(0x800, 0x800))
+        for label, engine in (("interp", "interp"), ("chained", "threaded")):
+            vm = _raw_vm(code, engine=engine, scratch=(0x800, 0x800))
             fault = None
             try:
                 vm.run()
@@ -312,7 +298,7 @@ class TestSuperblocks:
         assert states["chained"] == states["interp"]
 
     def test_dead_superblock_not_reentered_after_kill(self):
-        vm = _source_vm(HOT_LOOP, chain=True)
+        vm = _source_vm(HOT_LOOP)
         vm.run()
         cache = vm._block_cache
         assert cache.superblocks_fused >= 1
@@ -325,8 +311,8 @@ class TestSuperblocks:
 
 
 class TestPreemptionOnChainBoundaries:
-    def _sliced_states(self, engine: str, chain: bool, slice_len: int):
-        vm = _source_vm(HOT_LOOP, engine=engine, chain=chain)
+    def _sliced_states(self, engine: str, slice_len: int):
+        vm = _source_vm(HOT_LOOP, engine=engine)
         snapshots = []
         for _ in range(100_000):
             vm.run_slice(slice_len)
@@ -343,8 +329,6 @@ class TestPreemptionOnChainBoundaries:
         # must leave the same architectural state as the interpreter
         # preempted at the same instruction count.
         for slice_len in (1, 3, 7, 64, 257, 1000):
-            interp = self._sliced_states("interp", True, slice_len)
-            nochain = self._sliced_states("threaded", False, slice_len)
-            chained = self._sliced_states("threaded", True, slice_len)
+            interp = self._sliced_states("interp", slice_len)
+            chained = self._sliced_states("threaded", slice_len)
             assert chained == interp, f"slice={slice_len}"
-            assert nochain == interp, f"slice={slice_len}"

@@ -4,9 +4,8 @@ The threaded engine's contract is bit-identical architectural state —
 registers, flags, memory, cycle counts, instruction counts, syscall
 counts, fault PCs/messages, and fail-stop reasons — on *every* program,
 including self-modifying ones.  These tests run the same program under
-three configurations — the interpreter, the threaded engine with
-chaining disabled, and the threaded engine with direct block chaining
-and superblock fusion (the default) — and diff the complete observable
+the interpreter (the reference) and the threaded engine with direct
+block chaining and superblock fusion, and diff the complete observable
 state.
 """
 
@@ -26,13 +25,11 @@ from repro.workloads.spec import build_spec_program
 
 KEY = Key.from_passphrase("engines", provider="fast-hmac")
 
-#: label -> (engine, chain).  ``threaded`` runs with chaining disabled
-#: so the plain per-block dispatcher keeps its own equivalence
-#: coverage; ``chained`` is the default configuration.
+#: label -> engine.  ``interp`` is the reference; ``chained`` is the
+#: default configuration.
 CONFIGS = {
-    "interp": ("interp", True),
-    "threaded": ("threaded", False),
-    "chained": ("threaded", True),
+    "interp": "interp",
+    "chained": "threaded",
 }
 
 
@@ -60,8 +57,7 @@ def _state(vm: VM, fault) -> dict:
     }
 
 
-def _vm_for_source(source: str, engine: str, nx: bool = False,
-                   chain: bool = True) -> VM:
+def _vm_for_source(source: str, engine: str, nx: bool = False) -> VM:
     image = link(assemble(source))
     memory = Memory()
     for segment in image.segments:
@@ -74,14 +70,12 @@ def _vm_for_source(source: str, engine: str, nx: bool = False,
             segment.vaddr, max(segment.size, 16), prot,
             name=segment.name, data=segment.data,
         )
-    return VM(memory=memory, entry=image.entry, nx=nx, engine=engine,
-              chain=chain)
+    return VM(memory=memory, entry=image.entry, nx=nx, engine=engine)
 
 
 def _run_source(source: str, engine: str, nx: bool = False,
-                chain: bool = True,
                 max_instructions: int = 100_000) -> dict:
-    vm = _vm_for_source(source, engine, nx=nx, chain=chain)
+    vm = _vm_for_source(source, engine, nx=nx)
     fault = None
     try:
         vm.run(max_instructions=max_instructions)
@@ -91,7 +85,6 @@ def _run_source(source: str, engine: str, nx: bool = False,
 
 
 def _run_raw(code: bytes, engine: str, nx: bool = False,
-             chain: bool = True,
              max_instructions: int = 100_000) -> dict:
     """Run raw encoded instructions from an RWX region (the shape the
     self-modifying-code cases need)."""
@@ -101,7 +94,7 @@ def _run_raw(code: bytes, engine: str, nx: bool = False,
         PROT_READ | PROT_WRITE | PROT_EXEC, data=code, name="rwx",
     )
     memory.map_region(0x8000, 4096, PROT_READ | PROT_WRITE, name="scratch")
-    vm = VM(memory=memory, entry=0x1000, nx=nx, engine=engine, chain=chain)
+    vm = VM(memory=memory, entry=0x1000, nx=nx, engine=engine)
     fault = None
     try:
         vm.run(max_instructions=max_instructions)
@@ -115,8 +108,7 @@ def _encode(instructions) -> bytes:
 
 
 def _assert_engines_agree(run) -> dict:
-    states = {label: run(engine, chain)
-              for label, (engine, chain) in CONFIGS.items()}
+    states = {label: run(engine) for label, engine in CONFIGS.items()}
     for label, state in states.items():
         assert state == states["interp"], (label, state, states["interp"])
     return states["interp"]
@@ -144,7 +136,7 @@ loop:
     rdtsch r12
     halt
 """
-        state = _assert_engines_agree(lambda e, c: _run_source(source, e, chain=c))
+        state = _assert_engines_agree(lambda e: _run_source(source, e))
         assert state["exit_status"] is not None
 
     def test_calls_stack_and_memory(self):
@@ -176,7 +168,7 @@ fn:
 buf:
     .space 16
 """
-        _assert_engines_agree(lambda e, c: _run_source(source, e, chain=c))
+        _assert_engines_agree(lambda e: _run_source(source, e))
 
     def test_mid_block_division_fault(self):
         # The fault happens in the middle of a straight-line run: the
@@ -192,7 +184,7 @@ _start:
     addi r5, r1, 2
     halt
 """
-        state = _assert_engines_agree(lambda e, c: _run_source(source, e, chain=c))
+        state = _assert_engines_agree(lambda e: _run_source(source, e))
         assert "division by zero" in state["fault"]
 
     def test_mid_block_memory_fault(self):
@@ -205,7 +197,7 @@ _start:
     ld r3, [r1+0]
     halt
 """
-        state = _assert_engines_agree(lambda e, c: _run_source(source, e, chain=c))
+        state = _assert_engines_agree(lambda e: _run_source(source, e))
         assert "memory fault" in state["fault"]
 
     def test_stack_overflow_fault(self):
@@ -217,7 +209,7 @@ _start:
     push r1
     halt
 """
-        state = _assert_engines_agree(lambda e, c: _run_source(source, e, chain=c))
+        state = _assert_engines_agree(lambda e: _run_source(source, e))
         assert "stack overflow" in state["fault"]
 
     def test_trap_with_no_kernel(self):
@@ -227,7 +219,7 @@ _start:
     li r1, 1
     sys
 """
-        state = _assert_engines_agree(lambda e, c: _run_source(source, e, chain=c))
+        state = _assert_engines_agree(lambda e: _run_source(source, e))
         assert "trap with no kernel attached" in state["fault"]
 
     def test_budget_exhaustion_mid_block(self):
@@ -246,8 +238,7 @@ _start:
 """
         for budget in range(1, 7):
             state = _assert_engines_agree(
-                lambda e, c: _run_source(source, e, chain=c,
-                                         max_instructions=budget)
+                lambda e: _run_source(source, e, max_instructions=budget)
             )
             if budget < 6:
                 assert "instruction budget exhausted" in state["fault"]
@@ -256,8 +247,8 @@ _start:
 
     def test_pc_falls_off_text(self):
         state = _assert_engines_agree(
-            lambda e, c: _run_raw(_encode([Instruction(Op.NOP)] * 3), e,
-                                  chain=c, max_instructions=5000)
+            lambda e: _run_raw(_encode([Instruction(Op.NOP)] * 3), e,
+                               max_instructions=5000)
         )
         assert "instruction fetch" in state["fault"]
 
@@ -295,7 +286,7 @@ class TestSelfModifyingCode:
             Instruction(Op.JMP, imm=0x1000),
             Instruction(Op.HALT),
         ])
-        state = _assert_engines_agree(lambda e, c: _run_raw(code, e, chain=c))
+        state = _assert_engines_agree(lambda e: _run_raw(code, e))
         assert state["regs"][1] == 77
 
     def test_patch_within_running_block(self):
@@ -322,7 +313,7 @@ class TestSelfModifyingCode:
             Instruction(Op.LI, regs=(1,), imm=13),
             Instruction(Op.HALT),
         ])
-        state = _assert_engines_agree(lambda e, c: _run_raw(code, e, chain=c))
+        state = _assert_engines_agree(lambda e: _run_raw(code, e))
         assert state["regs"][1] == 77
 
     def test_smc_blocked_by_nx(self):
@@ -335,22 +326,22 @@ class TestSelfModifyingCode:
             Instruction(Op.ST, regs=(2, 3), imm=0),
             Instruction(Op.JR, regs=(3,)),
         ])
-        nx_state = _assert_engines_agree(lambda e, c: _run_raw(code, e, nx=True, chain=c))
+        nx_state = _assert_engines_agree(lambda e: _run_raw(code, e, nx=True))
         assert "NX violation" in nx_state["fault"]
         assert nx_state["pc"] == 0x8000
         # Without NX (the 2005 default) the same program executes its
         # injected HALT — still identically on both engines.
-        plain = _assert_engines_agree(lambda e, c: _run_raw(code, e, nx=False, chain=c))
+        plain = _assert_engines_agree(lambda e: _run_raw(code, e, nx=False))
         assert plain["fault"] is None
         assert plain["pc"] == 0x8000
 
 
 class TestKernelWorkloads:
-    def _run_macro(self, engine: str, chain: bool) -> dict:
+    def _run_macro(self, engine: str) -> dict:
         binary = install(
             build_spec_program("gzip-spec", iterations=5), KEY
         ).binary
-        kernel = Kernel(key=KEY, engine=engine, chain=chain)
+        kernel = Kernel(key=KEY, engine=engine)
         result = kernel.run(
             binary, argv=["gzip-spec"], max_instructions=100_000_000
         )
@@ -368,8 +359,8 @@ class TestKernelWorkloads:
         }
 
     def test_macro_workload_identical_through_kernel(self):
-        states = {label: self._run_macro(engine, chain)
-                  for label, (engine, chain) in CONFIGS.items()}
+        states = {label: self._run_macro(engine)
+                  for label, engine in CONFIGS.items()}
         for label, state in states.items():
             assert state == states["interp"], label
         assert states["interp"]["ok"]
@@ -379,7 +370,7 @@ class TestKernelWorkloads:
         from repro.kernel.config import configs_named
 
         verdicts = {}
-        for config in configs_named(["interp", "no-chain", "chained"]):
+        for config in configs_named(["interp", "chained"]):
             results = run_all_attacks(KEY, config)
             verdicts[config.name] = [
                 (r.name, r.blocked, r.kill_reason) for r in results

@@ -73,10 +73,10 @@ def test_plans_are_frozen_and_serializable():
 
 def test_config_roster():
     # The engine configurations the coverage contract names.
-    assert CONFIG_NAMES == ("interp", "chained", "no-chain", "no-fastpath")
+    assert CONFIG_NAMES == ("interp", "chained", "no-fastpath")
     assert configs_named() == CONFIGS
-    assert [c.name for c in configs_named(["interp", "no-chain"])] == [
-        "interp", "no-chain"
+    assert [c.name for c in configs_named(["interp", "no-fastpath"])] == [
+        "interp", "no-fastpath"
     ]
     with pytest.raises(ValueError):
         configs_named(["warp-drive"])

@@ -334,8 +334,7 @@ class TestBlockedAcceptDeterminism:
     def test_wakeup_interleaving_is_engine_independent(self):
         interleavings = {
             self._run(Kernel(engine="interp")),
-            self._run(Kernel(engine="threaded", chain=True)),
-            self._run(Kernel(engine="threaded", chain=False)),
+            self._run(Kernel(engine="threaded")),
         }
         assert len(interleavings) == 1
 

@@ -391,6 +391,44 @@ class TestMemoryCalls:
 """, ["open", "mmap"], data='.section .rodata\npath:\n  .asciz "/tmp/f"')
         assert result.exit_status == ord("Q")
 
+    def test_mmap_beyond_address_space_is_enomem(self, kernel):
+        """A request that cannot fit below 4 GiB fails the process's
+        call with ENOMEM instead of escaping the kernel, and leaves the
+        mmap cursor where it was: the next small mapping still lands at
+        the first mmap address and is usable."""
+        result = run_guest(kernel, f"""
+    li r1, 0
+    li r2, 0xF0000000
+    li r3, 3
+    li r4, 0x22
+    li r5, 0xFFFFFFFF
+    li r6, 0
+    call sys_mmap
+    cmpi r0, {Errno.ENOMEM.as_result()}
+    bne not_enomem
+    li r1, 0
+    li r2, 8192
+    li r3, 3
+    li r4, 0x22
+    li r5, 0xFFFFFFFF
+    li r6, 0
+    call sys_mmap
+    cmpi r0, 0x40000000
+    bne cursor_moved
+    mov r14, r0
+    li r9, 55
+    st r9, [r14+4096]
+    ld r1, [r14+4096]
+    call sys_exit
+not_enomem:
+    li r1, 1
+    call sys_exit
+cursor_moved:
+    li r1, 2
+    call sys_exit
+""", ["mmap"])
+        assert not result.killed and result.exit_status == 55
+
 
 class TestVectoredIo:
     def test_writev_gathers(self, kernel):
