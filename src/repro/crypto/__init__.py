@@ -16,21 +16,26 @@ pure-Python equivalent:
 - :mod:`repro.crypto.keyring` -- key generation and the installer/kernel
   key-sharing model (the key is available only to the installer and the
   kernel, never to applications).
+- :mod:`repro.crypto.memo` -- :class:`MacMemo`, a bounded content-keyed
+  memo in front of either provider: the kernel's fast path computes
+  each distinct tag once.  A MAC is a deterministic function of the
+  message, so the memo never changes a verification outcome.
 """
 
 from repro.crypto.aes import AES, TableAES
-from repro.crypto.cmac import AesCmac, CmacState, MAC_SIZE
+from repro.crypto.cmac import AesCmac, MAC_SIZE
 from repro.crypto.fastmac import FastMac
 from repro.crypto.keyring import Key, KeyRing, MacProvider, mac_provider_for_key
+from repro.crypto.memo import MacMemo
 
 __all__ = [
     "AES",
     "AesCmac",
-    "CmacState",
     "FastMac",
     "Key",
     "KeyRing",
     "MAC_SIZE",
+    "MacMemo",
     "MacProvider",
     "TableAES",
     "mac_provider_for_key",

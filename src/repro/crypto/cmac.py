@@ -5,19 +5,16 @@ The paper uses "AES-CBC-OMAC" [Iwata & Kurosawa 2002], which produces a
 CMAC (RFC 4493, NIST SP 800-38B).  The unit tests check the RFC 4493
 vectors, so this implementation is interoperable with any standard CMAC.
 
-Two ways to MAC:
-
-- :meth:`AesCmac.tag` is the one-shot reference path.
-- :class:`CmacState` (via :meth:`AesCmac.prefix`) is the incremental
-  API: absorb a message prefix once, then finalize it many times with
-  different suffixes.  Repeated MACs over the same leading bytes skip
-  re-encrypting those blocks, which is what the installer and the
-  kernel fast path exploit for policy-section strings whose encoded
-  prefixes are immutable.
+The chaining XORs work on 128-bit Python ints, so the per-block cost
+outside the cipher is two int conversions.  With the verification fast
+path on, the kernel reaches this class only through
+:class:`repro.crypto.memo.MacMemo`, which computes each distinct tag
+once; the installer and ``--no-fastpath`` call it directly.
 """
 
 from __future__ import annotations
 
+import hmac
 from typing import Optional
 
 from repro.crypto.aes import AES, BLOCK_SIZE, TableAES
@@ -34,10 +31,6 @@ def _dbl(block: bytes) -> bytes:
     if value >> 128:
         value = (value & ((1 << 128) - 1)) ^ _R128
     return value.to_bytes(16, "big")
-
-
-def _xor(a: bytes, b: bytes) -> bytes:
-    return bytes(x ^ y for x, y in zip(a, b))
 
 
 class AesCmac:
@@ -66,90 +59,20 @@ class AesCmac:
     def tag(self, message: bytes) -> bytes:
         """Compute the 16-byte CMAC tag of ``message``."""
         n_blocks = max(1, (len(message) + BLOCK_SIZE - 1) // BLOCK_SIZE)
-        complete = len(message) > 0 and len(message) % BLOCK_SIZE == 0
         last_start = (n_blocks - 1) * BLOCK_SIZE
-        if complete:
-            last = _xor(message[last_start:], self._k1)
+        tail = bytes(message[last_start:])
+        if len(tail) == BLOCK_SIZE:
+            last = int.from_bytes(tail, "big") ^ int.from_bytes(self._k1, "big")
         else:
-            padded = message[last_start:] + b"\x80"
-            padded += bytes(BLOCK_SIZE - len(padded))
-            last = _xor(padded, self._k2)
-        state = bytes(BLOCK_SIZE)
-        for i in range(n_blocks - 1):
-            block = message[i * BLOCK_SIZE : (i + 1) * BLOCK_SIZE]
-            state = self._aes.encrypt_block(_xor(state, block))
-        return self._aes.encrypt_block(_xor(state, last))
+            padded = tail + b"\x80" + bytes(BLOCK_SIZE - 1 - len(tail))
+            last = int.from_bytes(padded, "big") ^ int.from_bytes(self._k2, "big")
+        encrypt = self._aes.encrypt_block
+        state = 0
+        for start in range(0, last_start, BLOCK_SIZE):
+            block = int.from_bytes(message[start : start + BLOCK_SIZE], "big")
+            state = int.from_bytes(encrypt((state ^ block).to_bytes(16, "big")), "big")
+        return encrypt((state ^ last).to_bytes(16, "big"))
 
     def verify(self, message: bytes, tag: bytes) -> bool:
-        """Constant-time-style comparison of the expected tag."""
-        expected = self.tag(message)
-        if len(tag) != MAC_SIZE:
-            return False
-        diff = 0
-        for x, y in zip(expected, tag):
-            diff |= x ^ y
-        return diff == 0
-
-    def prefix(self, prefix: bytes = b"") -> "CmacState":
-        """Absorb ``prefix`` into a reusable incremental state."""
-        return CmacState(self).update(prefix)
-
-
-class CmacState:
-    """Incremental CMAC state: update with chunks, finalize many times.
-
-    The trailing 1..16 bytes are buffered rather than compressed, since
-    OMAC1 masks the *final* block with K1/K2 and which block is final is
-    unknown until finalization.  ``tag`` therefore never consumes the
-    state: one absorbed prefix can be finalized against any number of
-    suffixes, each costing only the suffix's blocks plus one final
-    encryption.
-    """
-
-    __slots__ = ("_mac", "_state", "_buffer")
-
-    def __init__(self, mac: AesCmac, state: bytes = b"", buffer: bytes = b""):
-        self._mac = mac
-        self._state = state or bytes(BLOCK_SIZE)
-        self._buffer = buffer
-
-    def update(self, data: bytes) -> "CmacState":
-        """Absorb ``data``; compresses every block that is certain not
-        to be the message's last.  Returns ``self`` for chaining."""
-        if not data:
-            return self
-        buf = self._buffer + data
-        keep = len(buf) % BLOCK_SIZE or BLOCK_SIZE
-        state = self._state
-        encrypt = self._mac._aes.encrypt_block
-        for i in range(0, len(buf) - keep, BLOCK_SIZE):
-            state = encrypt(_xor(state, buf[i : i + BLOCK_SIZE]))
-        self._state = state
-        self._buffer = buf[len(buf) - keep :]
-        return self
-
-    def copy(self) -> "CmacState":
-        return CmacState(self._mac, self._state, self._buffer)
-
-    def tag(self, suffix: bytes = b"") -> bytes:
-        """Tag of everything absorbed so far plus ``suffix``, without
-        mutating this state."""
-        if suffix:
-            return self.copy().update(suffix).tag()
-        mac = self._mac
-        buf = self._buffer
-        if len(buf) == BLOCK_SIZE:
-            last = _xor(buf, mac._k1)
-        else:
-            padded = buf + b"\x80" + bytes(BLOCK_SIZE - len(buf) - 1)
-            last = _xor(padded, mac._k2)
-        return mac._aes.encrypt_block(_xor(self._state, last))
-
-    def verify(self, tag: bytes, suffix: bytes = b"") -> bool:
-        expected = self.tag(suffix)
-        if len(tag) != MAC_SIZE:
-            return False
-        diff = 0
-        for x, y in zip(expected, tag):
-            diff |= x ^ y
-        return diff == 0
+        """Constant-time comparison against the expected tag."""
+        return hmac.compare_digest(self.tag(message), tag)

@@ -22,7 +22,7 @@ from repro.cpu.memory import (
     PROT_WRITE,
 )
 from repro.cpu.vm import VM, ProcessExit
-from repro.crypto import Key, MacProvider, mac_provider_for_key
+from repro.crypto import Key, MacMemo, MacProvider, mac_provider_for_key
 from repro.isa import INSTRUCTION_SIZE
 from repro.kernel.audit import AuditEvent, AuditLog, FastPathStats
 from repro.kernel.auth import AuthChecker, AuthViolation
@@ -101,6 +101,8 @@ class Kernel:
     ):
         self.key = key or Key.generate()
         self.mac: MacProvider = mac_provider_for_key(self.key)
+        if fastpath:
+            self.mac = MacMemo(self.mac)
         self.mode = mode
         self.personality = personality
         self.costs = costs or CostModel()
@@ -120,9 +122,11 @@ class Kernel:
         #: enabling it supports the hardware-vs-authentication ablation.
         self.nx = nx
         #: Verification fast path: one VerifierJit per process (verified
-        #: pairs plus compiled per-site thunks, see kernel/verifierjit.py).
-        #: Off (`fastpath=False`, --no-fastpath) every trap runs the
-        #: generic checker with a full CMAC: the paper's cold cost model.
+        #: pairs plus compiled per-site thunks, see kernel/verifierjit.py)
+        #: and the kernel-wide MacMemo above, which computes each
+        #: distinct tag once.  Off (`fastpath=False`, --no-fastpath)
+        #: every trap runs the generic checker with a full CMAC: the
+        #: paper's cold cost model and the reference path.
         self.fastpath = fastpath
         #: CPU execution engine for guest processes: "threaded" (the
         #: basic-block translation cache, default) or "interp" (the
@@ -337,6 +341,11 @@ class Kernel:
         self._mmap_cursor.pop(process.pid, None)
         self._drop_verifier(process.pid, task)
         self._sync_engine_metrics(vm)
+        memo = self.mac
+        if isinstance(memo, MacMemo):
+            self.metrics.inc("crypto.memo_hits", memo.hits)
+            self.metrics.inc("crypto.memo_misses", memo.misses)
+            memo.hits = memo.misses = 0
 
     def _allocate_pid(self) -> int:
         pid = self._next_pid

@@ -39,9 +39,14 @@ checks that site needs —
 What is never remembered, by either step, is everything bound to the
 per-process counter: the lastBlock/lbMAC state is read from guest
 memory, MAC-verified against the current counter, probed against the
-predecessor set, then advanced and re-MAC'd on every trap; the
-generic path re-MACs string-argument contents, and pattern-constrained
-runtime arguments are re-matched against live memory and r8 hints.
+predecessor set, then advanced and re-MAC'd into guest memory on every
+trap; the generic path re-MACs string-argument contents, and
+pattern-constrained runtime arguments are re-matched against live
+memory and r8 hints.  The provider the verifier is given is the
+kernel's :class:`repro.crypto.memo.MacMemo`, so the *host* computes
+each distinct payload's tag once: the memo is keyed on the full
+payload, counter included, and so returns the same tag (and the same
+verdict) the raw provider would.
 
 Soundness mirrors the block-chaining pre-image invalidation story
 (DESIGN.md "Execution engines"): every byte a thunk *assumes* was

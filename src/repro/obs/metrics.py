@@ -26,6 +26,8 @@ COUNTER_HELP = {
     "verifier.thunks_compiled": "call sites specialized into pre-bound verifier thunks",
     "verifier.thunks_invalidated": "verifier thunks dropped by write-version guards or exit/exec",
     "verifier.thunk_hits": "ASYS traps verified entirely by a compiled thunk",
+    "crypto.memo_hits": "MAC computations answered by the kernel's content-keyed MAC memo",
+    "crypto.memo_misses": "MAC computations the memo passed to the underlying provider",
     "decode.invalidations": "interpreter decode-cache entries dropped by write-version guards",
     "engine.blocks_compiled": "basic blocks translated by the threaded engine",
     "engine.blocks_evicted": "cached translations invalidated by stores or stale guards",

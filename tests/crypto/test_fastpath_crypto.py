@@ -1,15 +1,15 @@
-"""Fast-path crypto: table-driven AES and the incremental CMAC API.
+"""Fast-path crypto: table-driven AES under the CMAC.
 
-The table-driven cipher and the prefix-state CMAC exist purely for
-speed; these tests pin them bit-for-bit to the reference implementations
-so the optimization can never drift from the spec.
+The table-driven cipher exists purely for speed; these tests pin it
+bit-for-bit to the reference implementation so the optimization can
+never drift from the spec.
 """
 
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.crypto.aes import AES, BLOCK_SIZE, TableAES
-from repro.crypto.cmac import AesCmac, CmacState
+from repro.crypto.cmac import AesCmac
 
 RFC_KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
 RFC_MSG = bytes.fromhex(
@@ -65,72 +65,3 @@ class TestCmacDefaultCipher:
         table = AesCmac(RFC_KEY)
         reference = AesCmac(RFC_KEY, cipher=AES(RFC_KEY))
         assert table.tag(RFC_MSG) == reference.tag(RFC_MSG)
-
-
-class TestCmacPrefix:
-    def test_rfc4493_vectors_through_prefix_api(self):
-        for length, expected in RFC_TAGS.items():
-            state = AesCmac(RFC_KEY).prefix(RFC_MSG[:length])
-            assert state.tag() == bytes.fromhex(expected)
-
-    def test_every_split_point_matches_one_shot(self):
-        mac = AesCmac(RFC_KEY)
-        for total in (0, 1, 15, 16, 17, 32, 40, 64, 70):
-            message = RFC_MSG * 2
-            message = message[:total]
-            expected = mac.tag(message)
-            for split in range(total + 1):
-                state = mac.prefix(message[:split])
-                assert state.tag(message[split:]) == expected, (total, split)
-
-    @given(
-        key=st.binary(min_size=16, max_size=16),
-        prefix=st.binary(max_size=80),
-        suffixes=st.lists(st.binary(max_size=40), max_size=4),
-    )
-    def test_shared_prefix_many_suffixes(self, key, prefix, suffixes):
-        mac = AesCmac(key)
-        state = mac.prefix(prefix)
-        for suffix in suffixes:
-            assert state.tag(suffix) == mac.tag(prefix + suffix)
-
-    @given(
-        key=st.binary(min_size=16, max_size=16),
-        chunks=st.lists(st.binary(max_size=23), max_size=6),
-    )
-    def test_chained_updates_match_one_shot(self, key, chunks):
-        mac = AesCmac(key)
-        state = mac.prefix()
-        for chunk in chunks:
-            state.update(chunk)
-        assert state.tag() == mac.tag(b"".join(chunks))
-
-    def test_tag_does_not_consume_state(self):
-        mac = AesCmac(RFC_KEY)
-        state = mac.prefix(RFC_MSG[:40])
-        first = state.tag(RFC_MSG[40:])
-        assert state.tag(RFC_MSG[40:]) == first
-        assert state.tag() == mac.tag(RFC_MSG[:40])
-
-    def test_copy_is_independent(self):
-        mac = AesCmac(RFC_KEY)
-        state = mac.prefix(RFC_MSG[:20])
-        fork = state.copy()
-        fork.update(b"divergent")
-        assert state.tag() == mac.tag(RFC_MSG[:20])
-        assert fork.tag() == mac.tag(RFC_MSG[:20] + b"divergent")
-
-    def test_verify(self):
-        mac = AesCmac(RFC_KEY)
-        state = mac.prefix(RFC_MSG[:16])
-        good = mac.tag(RFC_MSG[:40])
-        assert state.verify(good, RFC_MSG[16:40])
-        assert not state.verify(good[:-1] + b"\x00", RFC_MSG[16:40])
-        assert not state.verify(good, RFC_MSG[16:39])
-
-
-def test_cmac_state_exported():
-    import repro.crypto as crypto
-
-    assert crypto.CmacState is CmacState
-    assert crypto.TableAES is TableAES
