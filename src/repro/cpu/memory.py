@@ -52,9 +52,13 @@ class Region:
     #: threaded engine's translation caches register themselves here so
     #: chained/fused code is dropped while the old bytes are still
     #: readable (pre-image invalidation).  A fork-shared region carries
-    #: the watchers of every process that compiled code from it, which
+    #: the watchers of every process that runs code from it, which
     #: is what keeps cross-process invalidation coherent.
     watchers: list = field(default_factory=list)
+    #: Aliased by more than one address space (fork's copy-on-reference
+    #: sharing of non-writable regions).  Such a region's protection
+    #: never changes: ``protect`` gives the caller a private copy.
+    shared: bool = False
 
     @property
     def end(self) -> int:
@@ -101,6 +105,7 @@ class Memory:
         non-writable regions because guest stores are permission-checked
         and any forced kernel write would bump ``version`` and so
         invalidate both processes' caches coherently."""
+        region.shared = True
         end = region.end
         for existing in self._regions:
             if region.start < existing.end and existing.start < end:
@@ -130,8 +135,26 @@ class Memory:
         raise KeyError(f"no region named {name!r}")
 
     def protect(self, start: int, prot: int) -> None:
-        """Change protection of the region containing ``start``."""
-        self.region_at(start).prot = prot
+        """Change protection of the region containing ``start``.
+
+        A fork-shared region is first replaced in this address space by
+        a private copy (copy-on-protect), so making it writable can never
+        expose another process's code or data.  Either way the old
+        region's watchers run and its ``version`` advances, as for a
+        write: a translation or decoded instruction vetted under the old
+        protection must be re-checked before it runs again."""
+        region = self.region_at(start)
+        for watcher in region.watchers:
+            watcher(region.start, len(region.data))
+        region.version += 1
+        if region.shared:
+            index = bisect_right(self._starts, region.start) - 1
+            region = Region(
+                start=region.start, data=bytearray(region.data),
+                prot=region.prot, name=region.name,
+            )
+            self._regions[index] = region
+        region.prot = prot
 
     def grow_region(self, name: str, new_size: int) -> None:
         """Extend a region in place (used by ``brk``)."""

@@ -21,7 +21,8 @@ Two execution engines share the architectural state:
 - ``threaded`` — a basic-block translation cache
   (:mod:`repro.cpu.threaded`): straight-line runs are compiled once
   into lists of pre-bound thunks and re-executed with one dispatch and
-  batched cycle accounting.
+  batched cycle accounting.  VMs given the same ``translations`` store
+  (a kernel's processes) share compiled code by content.
 
 Both engines are required to produce bit-identical architectural state
 (registers, flags, memory, cycle counts, syscall counts, fault
@@ -31,7 +32,7 @@ fuzz suite enforces this.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Protocol
+from typing import TYPE_CHECKING, Callable, Optional, Protocol
 
 from repro.cpu.memory import Memory, MemoryFault, PROT_READ, PROT_WRITE, Region
 from repro.isa import INSTRUCTION_SIZE, Instruction, decode_instruction
@@ -40,9 +41,15 @@ from repro.isa.opcodes import Op
 from repro.isa.registers import NUM_REGS, SP
 from repro.obs import NULL_RECORDER, Recorder
 
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.cpu.threaded import TranslationCache
+
 _MASK = 0xFFFFFFFF
 
 ENGINES = ("interp", "threaded")
+
+#: The data TLB's empty state: a region no access can hit.
+_NO_REGION = Region(start=0, data=bytearray(), prot=0)
 
 
 def _signed(value: int) -> int:
@@ -96,6 +103,7 @@ class VM:
         engine: str = "interp",
         recorder: Recorder = NULL_RECORDER,
         map_stack: bool = True,
+        translations: Optional["TranslationCache"] = None,
     ):
         if engine not in ENGINES:
             raise ValueError(f"unknown execution engine {engine!r}")
@@ -139,10 +147,32 @@ class VM:
         #: Decode-cache entries dropped by a write-version guard miss;
         #: folded into the kernel's metrics registry after the run.
         self.decode_invalidations = 0
-        #: Lazily built basic-block translation cache (threaded engine).
+        #: Lazily built basic-block translation cache (threaded engine)
+        #: over the shared ``translations`` store (a private one when
+        #: None).
         self._block_cache = None
+        self.translations = translations
+        #: Threaded-engine state the shared thunks reach through the VM:
+        #: the one-entry data TLB (the region of the last load/store
+        #: slow path) and the block cache's page -> entry PCs index.
+        self._dregion: Region = _NO_REGION
+        self._code_pages: dict[int, set] = {}
 
     # -- memory helpers --------------------------------------------------
+
+    def protect(self, address: int, prot: int) -> None:
+        """Change the protection of the region containing ``address``
+        (``mprotect``).  The data TLB is emptied: a fork-shared region
+        is replaced by a private copy, which the TLB must not outlive."""
+        self.memory.protect(address, prot)
+        self._dregion = _NO_REGION
+
+    def release(self) -> None:
+        """Drop the engine's per-process caches when the process ends
+        (exit, execve, kill), unregistering them from shared regions."""
+        if self._block_cache is not None:
+            self._block_cache.release()
+            self._block_cache = None
 
     def store(self, address: int, data: bytes) -> None:
         """Guest-visible store.  Decode/translation caches are gated on
@@ -329,7 +359,7 @@ class VM:
 
             cache = self._block_cache
             if cache is None:
-                cache = self._block_cache = BlockCache(self)
+                cache = self._block_cache = BlockCache(self, self.translations)
             cache.run(max_instructions, preempt)
             return
         budget = max_instructions

@@ -21,6 +21,7 @@ from repro.cpu.memory import (
     PROT_READ,
     PROT_WRITE,
 )
+from repro.cpu.threaded import TranslationCache
 from repro.cpu.vm import VM, ProcessExit
 from repro.crypto import Key, MacMemo, MacProvider, mac_provider_for_key
 from repro.isa import INSTRUCTION_SIZE
@@ -132,6 +133,9 @@ class Kernel:
         #: basic-block translation cache, default) or "interp" (the
         #: reference interpreter).  Both are bit-identical by contract.
         self.engine = engine
+        #: The threaded engine's compiled code, shared by every process
+        #: of this machine by content (see cpu/threaded.py).
+        self._translations = TranslationCache()
         self._checker = AuthChecker(self.mac, self.costs, self.obs)
         self._verifiers: dict[int, VerifierJit] = {}
         #: Optional syscall tracer (duck-typed: .record(ctx)); used by
@@ -195,6 +199,7 @@ class Kernel:
             engine=self.engine,
             recorder=self.obs,
             map_stack=map_stack,
+            translations=self._translations,
         )
 
     def _new_verifier(self, pid: int) -> None:
@@ -341,6 +346,7 @@ class Kernel:
         self._mmap_cursor.pop(process.pid, None)
         self._drop_verifier(process.pid, task)
         self._sync_engine_metrics(vm)
+        vm.release()
         memo = self.mac
         if isinstance(memo, MacMemo):
             self.metrics.inc("crypto.memo_hits", memo.hits)
@@ -354,31 +360,20 @@ class Kernel:
 
     def _sync_engine_metrics(self, vm: VM) -> None:
         """Fold the engine-local tallies a run accumulated into the
-        machine-wide registry.  Done once per process teardown so the
-        hot loops only ever touch plain attribute counters."""
-        metrics = self.metrics
-        metrics.inc("engine.instructions_retired", vm.instructions_executed)
-        metrics.inc("engine.syscalls", vm.syscall_count)
-        metrics.inc("decode.invalidations", vm.decode_invalidations)
-        block_cache = vm._block_cache
-        if block_cache is not None:
-            metrics.inc("engine.blocks_compiled", block_cache.compiles)
-            metrics.inc("engine.blocks_evicted", block_cache.invalidations)
-            metrics.inc("engine.chains_linked", block_cache.chains_linked)
-            metrics.inc("engine.chains_severed", block_cache.chains_severed)
-            metrics.inc("engine.superblocks_fused", block_cache.superblocks_fused)
-            metrics.inc("engine.superblocks_killed", block_cache.superblocks_killed)
-        if self.obs.enabled:
-            self.obs.inc("engine.instructions_retired", vm.instructions_executed)
-            self.obs.inc("engine.syscalls", vm.syscall_count)
-            self.obs.inc("decode.invalidations", vm.decode_invalidations)
-            if block_cache is not None:
-                self.obs.inc("engine.blocks_compiled", block_cache.compiles)
-                self.obs.inc("engine.blocks_evicted", block_cache.invalidations)
-                self.obs.inc("engine.chains_linked", block_cache.chains_linked)
-                self.obs.inc("engine.chains_severed", block_cache.chains_severed)
-                self.obs.inc("engine.superblocks_fused", block_cache.superblocks_fused)
-                self.obs.inc("engine.superblocks_killed", block_cache.superblocks_killed)
+        machine-wide registry (and the recorder, when tracing).  Done
+        once per process teardown so the hot loops only ever touch plain
+        attribute counters."""
+        tallies = {
+            "engine.instructions_retired": vm.instructions_executed,
+            "engine.syscalls": vm.syscall_count,
+            "decode.invalidations": vm.decode_invalidations,
+        }
+        if vm._block_cache is not None:
+            tallies.update(vm._block_cache.tallies())
+        sinks = (self.metrics, self.obs) if self.obs.enabled else (self.metrics,)
+        for name, value in tallies.items():
+            for sink in sinks:
+                sink.inc(name, value)
 
     # -- trap handling (TrapHandler protocol) --------------------------------
 
@@ -680,6 +675,7 @@ class Kernel:
         # Per-pid kernel state: the capability table and verifier belong
         # to the old image; drop and restart them.
         self._vm_process.pop(id(old_vm), None)
+        old_vm.release()
         self._vm_process[id(new_vm)] = process
         self._capabilities[process.pid] = CapabilityTable()
         self._mmap_cursor.pop(process.pid, None)

@@ -1412,16 +1412,16 @@ def _poll(ctx: SyscallContext) -> int:
 
 @syscall("mprotect")
 def _mprotect(ctx: SyscallContext) -> int:
-    """Change protection of the region containing the address.  Guest
-    PROT_* bits match the simulator's (1=read, 2=write, 4=exec)."""
+    """Change protection of the region containing the address (a
+    fork-shared region becomes a private copy first).  Guest PROT_* bits
+    match the simulator's (1=read, 2=write, 4=exec)."""
     address, _length, prot = ctx.args[0], ctx.args[1], ctx.args[2]
     if prot & ~0x7:
         return Errno.EINVAL.as_result()
     try:
-        ctx.vm.memory.protect(address, prot & 0x7)
+        ctx.vm.protect(address, prot & 0x7)
     except MemoryFault:
         return Errno.ENOMEM.as_result()
-    ctx.vm._decode_cache.clear()
     return 0
 
 

@@ -30,7 +30,12 @@ COUNTER_HELP = {
     "crypto.memo_misses": "MAC computations the memo passed to the underlying provider",
     "decode.invalidations": "interpreter decode-cache entries dropped by write-version guards",
     "engine.blocks_compiled": "basic blocks translated by the threaded engine",
+    "engine.blocks_shared": "blocks bound to a translation another process published (same bytes)",
     "engine.blocks_evicted": "cached translations invalidated by stores or stale guards",
+    "engine.chains_linked": "direct chain links formed between blocks",
+    "engine.chains_severed": "chain links cut because their target block was dropped",
+    "engine.superblocks_fused": "hot block cycles fused into superblocks",
+    "engine.superblocks_killed": "superblocks torn down by invalidation or repeated SMC aborts",
     "engine.instructions_retired": "guest instructions executed",
     "engine.syscalls": "traps serviced by the kernel",
     "sched.context_switches": "times the scheduler switched to a different pid",

@@ -16,12 +16,15 @@ import pytest
 from repro.asm import assemble
 from repro.binfmt import link
 from repro.cpu import ExecutionFault, Memory, PROT_EXEC, PROT_READ, PROT_WRITE, VM
+from repro.cpu.threaded import TranslationCache
 from repro.crypto import Key
 from repro.installer import install
 from repro.isa import Instruction, encode_instruction
 from repro.isa.opcodes import Op
 from repro.kernel import Kernel
+from repro.workloads.multiproc import build_server
 from repro.workloads.spec import build_spec_program
+from repro.workloads.tools import build_tool
 
 KEY = Key.from_passphrase("engines", provider="fast-hmac")
 
@@ -383,6 +386,72 @@ class TestKernelWorkloads:
         memory.map_region(0x1000, 4096, PROT_READ | PROT_EXEC, name="t")
         with pytest.raises(ValueError, match="unknown execution engine"):
             VM(memory=memory, entry=0x1000, engine="jit")
+
+
+class TestMultiProcessWorkloads:
+    """Andrew-style runs: many short processes on one kernel, so most
+    blocks are bound from translations earlier processes published
+    (and a forked server whose workers share the master's text)."""
+
+    # No `ls`: getdirentries reports inode numbers, which the VFS
+    # allocates process-wide, so its buffer differs between kernels.
+    TOOLS = ("mkdir", "cp", "wc", "gzip", "gunzip", "mv", "sort", "cat", "rm")
+
+    def _andrew(self, engine: str) -> list:
+        tools = {
+            name: install(build_tool(name, startup_work=2000), KEY).binary
+            for name in self.TOOLS
+        }
+        kernel = Kernel(key=KEY, engine=engine)
+        kernel.vfs.write_file(
+            "/seed.txt", b"".join(b"line %04d of the seed\n" % (i * 7 % 31)
+                                  for i in range(40)))
+        names = [f"/w/f{i}.txt" for i in range(3)]
+        steps = [("mkdir", ["/w"])]
+        steps += [("cp", ["/seed.txt", name]) for name in names]
+        for name in names:
+            steps += [("wc", [name]), ("gzip", [name]),
+                      ("gunzip", [name + ".gz"]),
+                      ("mv", [name + ".gz.out", name]), ("sort", [name])]
+        steps += [("cat", names), ("rm", names)]
+        records = []
+        for tool, argv in steps:
+            result = kernel.run(tools[tool], argv=[tool] + argv)
+            records.append((
+                tool, result.exit_status, result.killed, result.cycles,
+                result.instructions, result.syscalls, result.stdout,
+                _memory_digest(result.vm),
+            ))
+        return records
+
+    def _server(self, engine: str) -> list:
+        kernel = Kernel(key=KEY, engine=engine)
+        binary = install(build_server(workers=3, requests=9, spin=50), KEY).binary
+        multi = kernel.run_many([binary], timeslice=700)
+        tasks = sorted(multi.scheduler.tasks.values(), key=lambda t: t.pid)
+        return [
+            (t.exit_status, t.killed, t.vm.cycles, t.vm.instructions_executed,
+             bytes(t.process.stdout))
+            for t in tasks
+        ] + [tuple(multi.scheduler.interleaving)]
+
+    @staticmethod
+    def _diff(run, monkeypatch) -> list:
+        reference = run("interp")
+        assert run("threaded") == reference
+        # A cache small enough to flush every few processes.
+        monkeypatch.setattr(TranslationCache, "CAPACITY", 256)
+        assert run("threaded") == reference
+        return reference
+
+    def test_andrew_tools_identical_across_engines(self, monkeypatch):
+        records = self._diff(self._andrew, monkeypatch)
+        assert all(status == 0 and not killed
+                   for _, status, killed, *_ in records)
+
+    def test_forked_server_identical_across_engines(self, monkeypatch):
+        records = self._diff(self._server, monkeypatch)
+        assert records[0][:2] == (0, False)
 
 
 class TestTranslationCacheInternals:

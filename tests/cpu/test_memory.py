@@ -130,6 +130,33 @@ class TestGrow:
             memory.read(0x1000 + 0x900, 1)
 
 
+class TestProtect:
+    def test_protect_notifies_watchers_and_bumps_version(self):
+        memory = _memory_with_region(PROT_READ | PROT_EXEC)
+        region = memory.region_at(0x1000)
+        seen = []
+        region.watchers.append(lambda address, size: seen.append((address, size)))
+        version = region.version
+        memory.protect(0x1000, PROT_READ)
+        assert memory.region_at(0x1000) is region
+        assert region.prot == PROT_READ
+        assert seen == [(0x1000, 0x1000)] and region.version > version
+
+    def test_protect_copies_a_fork_shared_region(self):
+        parent = _memory_with_region(PROT_READ | PROT_EXEC)
+        shared = parent.region_at(0x1000)
+        child = Memory()
+        child.adopt_region(shared)
+        child.protect(0x1000, PROT_READ | PROT_WRITE | PROT_EXEC)
+        private = child.region_at(0x1000)
+        assert private is not shared and not private.shared
+        child.write(0x1000, b"\xff")
+        assert parent.read(0x1000, 1) == b"\x00"
+        assert shared.prot == PROT_READ | PROT_EXEC
+        with pytest.raises(MemoryFault, match="protection"):
+            parent.write(0x1000, b"\xff")
+
+
 class TestProperties:
     @given(
         offset=st.integers(min_value=0, max_value=0xFF0),

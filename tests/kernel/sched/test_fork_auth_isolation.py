@@ -6,13 +6,19 @@ These tests check the three ways that could break: counters failing to
 diverge after fork, verification-cache hits leaking across pids, and a
 fail-stop in one process taking siblings down with it."""
 
+import pytest
+
 from repro.crypto import Key
 from repro.installer import InstallerOptions, install
 from repro.binfmt import link
+from repro.isa import Instruction, encode_instruction
+from repro.isa.opcodes import Op
 from repro.kernel import EnforcementMode, Kernel
+from repro.kernel.config import CONFIG_NAMES, CONFIGS
 from repro.kernel.sched.scheduler import Scheduler
 
 from repro.attacks.crossproc import _forker_binary, _looper_binary
+from tests.kernel.sched.conftest import guest_binary
 
 
 def _kernel(key, **kwargs):
@@ -141,3 +147,88 @@ class TestFailStopContainment:
         assert tasks[2].exit_status == 0 and not tasks[2].killed
         killed_pids = {event.pid for event in kernel.audit.kills()}
         assert killed_pids == {victim.pid}
+
+
+class TestCopyOnProtect:
+    @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_NAMES)
+    def test_child_cannot_rewrite_parent_code(self, config):
+        """Fork shares the text region by reference.  A child that
+        mprotects it writable and patches `target` to load the other
+        status word gets a private copy: the child runs its patch (66),
+        the parent its original code (5)."""
+        raw = encode_instruction(Instruction(Op.LD, regs=(1, 9), imm=4))
+        low = int.from_bytes(raw[:4], "little")
+        high = int.from_bytes(raw[4:], "little")
+        binary = guest_binary(f"""
+    call sys_fork
+    cmpi r0, 0
+    bne parent
+    li r1, target
+    li r2, 4096
+    li r3, 7
+    call sys_mprotect
+    li r9, target
+    li r2, {low}
+    st r2, [r9+8]
+    li r2, {high}
+    st r2, [r9+12]
+    jmp target
+parent:
+    li r1, 0xFFFFFFFF
+    li r2, 0
+    li r3, 0
+    li r4, 0
+    call sys_wait4
+target:
+    li r9, status
+    ld r1, [r9+0]
+    call sys_exit
+""", ["fork", "mprotect", "wait4"], data=".section .data\nstatus:\n  .word 5\n  .word 66")
+        key = Key.generate()
+        installed = install(binary, key, InstallerOptions())
+        kernel = _kernel(key, **config.kernel_kwargs())
+        multi = kernel.run_many([installed.binary], timeslice=500)
+        tasks = sorted(multi.scheduler.tasks.values(), key=lambda t: t.pid)
+        assert [(t.exit_status, t.killed) for t in tasks] == [(5, False), (66, False)]
+
+
+class TestReleasedCachesUnwatch:
+    def test_watchers_bounded_by_live_processes(self):
+        """200 fork/exit cycles: each child's translation cache watches
+        the fork-shared text while it lives and stops at exit."""
+        binary = guest_binary("""
+    li r10, 0
+again:
+    call sys_fork
+    cmpi r0, 0
+    beq child
+    li r1, 0xFFFFFFFF
+    li r2, 0
+    li r3, 0
+    li r4, 0
+    call sys_wait4
+    addi r10, r10, 1
+    cmpi r10, 200
+    blt again
+    li r1, 0
+    call sys_exit
+child:
+    li r1, 0
+    call sys_exit
+""", ["fork", "wait4"])
+        kernel = Kernel()
+        scheduler = Scheduler(kernel, timeslice=1000)
+        parent = scheduler.adopt(*kernel.load(binary))
+        text = parent.vm.memory.find_region(".text")
+        excess: list[int] = []
+
+        def on_switch(sched, task):
+            live = sum(1 for t in sched.tasks.values() if t.alive)
+            excess.append(len(text.watchers) - live)
+
+        scheduler.on_switch = on_switch
+        scheduler.run()
+        assert parent.exit_status == 0
+        assert kernel.metrics.get("sched.forks") == 200
+        assert excess and max(excess) <= 0
+        assert text.watchers == []

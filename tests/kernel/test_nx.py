@@ -16,6 +16,7 @@ from repro.attacks import (
 from repro.attacks.scenarios import _install_victim, _prepare_kernel
 from repro.crypto import Key
 from repro.cpu import ExecutionFault
+from repro.kernel import Kernel
 from tests.kernel.conftest import run_guest
 
 KEY = Key.from_passphrase("nx-tests", provider="fast-hmac")
@@ -64,6 +65,39 @@ class TestMprotect:
     call sys_exit
 """, ["mprotect"])
         assert result.exit_status == int(Errno.ENOMEM)
+
+
+class TestMprotectUnderNx:
+    # The first mprotect keeps the text executable and warms the chain
+    # links around the call; the second drops PROT_EXEC from the page
+    # the stub returns into.
+    SOURCE = """
+    li r5, 0
+again:
+    li r1, _start
+    li r2, 4096
+    li r3, 5             ; PROT_READ|PROT_EXEC
+    cmpi r5, 0
+    beq protect
+    li r3, 1             ; PROT_READ only
+protect:
+    call sys_mprotect
+    addi r5, r5, 1
+    cmpi r5, 2
+    blt again
+    li r1, 0
+    call sys_exit
+"""
+
+    def test_revoked_exec_faults_at_the_interpreters_pc(self):
+        # Translations and chain links made while the page was
+        # executable must not outlive the protection change.
+        faults = {}
+        for engine in ("interp", "threaded"):
+            with pytest.raises(ExecutionFault, match="NX violation") as info:
+                run_guest(Kernel(nx=True, engine=engine), self.SOURCE, ["mprotect"])
+            faults[engine] = (info.value.pc, str(info.value))
+        assert faults["threaded"] == faults["interp"]
 
 
 class TestNxAblation:

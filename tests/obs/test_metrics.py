@@ -79,3 +79,34 @@ class TestFastPathStatsFacade:
         # The snapshot is immutable and detached from the live stats.
         stats.hits += 1
         assert snap.hits == 7
+
+
+class TestEngineCounterSchema:
+    def test_every_engine_counter_is_declared(self):
+        # A forking run on the threaded engine: every name the kernel's
+        # engine fold emits (registry and recorder alike) has HELP text.
+        from repro.kernel import Kernel
+        from repro.obs import TraceRecorder
+        from tests.kernel.sched.conftest import run_sched_guest
+
+        recorder = TraceRecorder()
+        kernel = Kernel(recorder=recorder)
+        run_sched_guest(kernel, """
+    call sys_fork
+    li r10, 0
+loop:
+    addi r10, r10, 1
+    cmpi r10, 600
+    blt loop
+    li r1, 0
+    call sys_exit
+""", ["fork"])
+        emitted = {name for name, _ in kernel.metrics
+                   if name.startswith("engine.")}
+        assert {"engine.blocks_compiled", "engine.blocks_shared",
+                "engine.superblocks_fused"} <= emitted
+        assert kernel.metrics.get("engine.blocks_shared") > 0
+        undeclared = emitted - set(COUNTER_HELP)
+        assert not undeclared
+        traced = {name for name in recorder.counters if name.startswith("engine.")}
+        assert traced == emitted
