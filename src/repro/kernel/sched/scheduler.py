@@ -285,7 +285,6 @@ class Scheduler:
             self._last_pid = pid
             task.switches += 1
             metrics.inc("sched.context_switches")
-            metrics.inc(f"sched.switches.pid{pid}")
             if self.on_switch is not None:
                 self.on_switch(self, task)
         rec = kernel.obs

@@ -36,9 +36,6 @@ class VfsError(Exception):
         self.path = path
 
 
-_inode_numbers = itertools.count(2)
-
-
 @dataclass
 class Inode:
     kind: str  # "file" | "dir" | "symlink"
@@ -46,7 +43,9 @@ class Inode:
     data: bytearray = field(default_factory=bytearray)
     entries: dict[str, "Inode"] = field(default_factory=dict)
     target: str = ""
-    ino: int = field(default_factory=lambda: next(_inode_numbers))
+    #: Assigned by the owning :class:`Vfs`, so numbers depend only on
+    #: that filesystem's history, never on other kernels in the host.
+    ino: int = 0
     nlink: int = 1
 
     @property
@@ -82,10 +81,14 @@ class Vfs:
     """The filesystem tree plus path-resolution machinery."""
 
     def __init__(self) -> None:
-        self.root = Inode(kind="dir", mode=0o755)
+        self._inode_numbers = itertools.count(2)
+        self.root = self._inode(kind="dir", mode=0o755)
         for standard in ("/bin", "/tmp", "/etc", "/dev", "/home", "/usr"):
             self.mkdir(standard, 0o755)
         self.chmod("/tmp", 0o1777)
+
+    def _inode(self, **fields) -> Inode:
+        return Inode(ino=next(self._inode_numbers), **fields)
 
     # -- resolution -----------------------------------------------------
 
@@ -220,7 +223,7 @@ class Vfs:
             return node
         if not name:
             raise VfsError(Errno.EINVAL, path)
-        child = Inode(kind="file", mode=mode & 0o7777)
+        child = self._inode(kind="file", mode=mode & 0o7777)
         parent.entries[name] = child
         return child
 
@@ -241,7 +244,7 @@ class Vfs:
             raise VfsError(Errno.EEXIST, path)
         if not name:
             raise VfsError(Errno.EINVAL, path)
-        child = Inode(kind="dir", mode=mode & 0o7777)
+        child = self._inode(kind="dir", mode=mode & 0o7777)
         parent.entries[name] = child
         return child
 
@@ -251,7 +254,7 @@ class Vfs:
             raise VfsError(Errno.EEXIST, linkpath)
         if not name:
             raise VfsError(Errno.EINVAL, linkpath)
-        child = Inode(kind="symlink", mode=0o777, target=target)
+        child = self._inode(kind="symlink", mode=0o777, target=target)
         parent.entries[name] = child
         return child
 

@@ -52,6 +52,17 @@ COUNTER_HELP = {
     "sched.signal_kills": "processes terminated by a cross-process signal",
     "sched.deadlock_kills": "blocked processes fail-stopped by the deadlock breaker",
     "sched.runq_peak": "largest observed run-queue length",
+    "net.sockets_created": "sockets created by socket()",
+    "net.sockets_closed": "sockets torn down when their last descriptor closed",
+    "net.binds": "sockets bound to a loopback address",
+    "net.listens": "stream sockets turned into listeners",
+    "net.connect_refused": "stream connects refused for want of a listener",
+    "net.connections": "stream connections established",
+    "net.accepts": "connections handed to a server by accept()",
+    "net.dgrams_sent": "datagrams queued to a bound receiver",
+    "net.dgrams_received": "datagrams popped by recvfrom()",
+    "net.bytes_sent": "payload bytes sent on streams and datagrams",
+    "net.bytes_received": "payload bytes received on streams and datagrams",
     "faults.injected": "seeded fault runs executed by the injection sweep",
     "faults.detected": "injected faults killed with a correctly attributed violation",
     "faults.benign": "injected faults that landed on dead state (run bit-identical)",

@@ -393,9 +393,8 @@ class TestMultiProcessWorkloads:
     blocks are bound from translations earlier processes published
     (and a forked server whose workers share the master's text)."""
 
-    # No `ls`: getdirentries reports inode numbers, which the VFS
-    # allocates process-wide, so its buffer differs between kernels.
-    TOOLS = ("mkdir", "cp", "wc", "gzip", "gunzip", "mv", "sort", "cat", "rm")
+    TOOLS = ("mkdir", "cp", "ls", "wc", "gzip", "gunzip", "mv", "sort",
+             "cat", "rm")
 
     def _andrew(self, engine: str) -> list:
         tools = {
@@ -409,11 +408,12 @@ class TestMultiProcessWorkloads:
         names = [f"/w/f{i}.txt" for i in range(3)]
         steps = [("mkdir", ["/w"])]
         steps += [("cp", ["/seed.txt", name]) for name in names]
+        steps += [("ls", ["/w"])]
         for name in names:
             steps += [("wc", [name]), ("gzip", [name]),
                       ("gunzip", [name + ".gz"]),
                       ("mv", [name + ".gz.out", name]), ("sort", [name])]
-        steps += [("cat", names), ("rm", names)]
+        steps += [("ls", ["/w"]), ("cat", names), ("rm", names), ("ls", ["/w"])]
         records = []
         for tool, argv in steps:
             result = kernel.run(tools[tool], argv=[tool] + argv)

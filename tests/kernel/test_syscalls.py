@@ -2,6 +2,7 @@
 
 import struct
 
+from repro.kernel import Kernel
 from repro.kernel.errors import Errno, errno_of, is_error
 from tests.kernel.conftest import run_guest
 
@@ -326,6 +327,45 @@ class TestMetadataCalls:
                  '.section .bss\nbuf:\n  .space 256',
         )
         assert b"zz\x00" in result.stdout
+
+    def test_inode_numbers_do_not_depend_on_earlier_kernels(self):
+        # stat and getdirentries expose inode numbers: a second kernel
+        # built in the same host process must see exactly what the
+        # first one saw.
+        def stat_and_list():
+            kernel = Kernel()
+            kernel.vfs.write_file("/tmp/f", b"12345")
+            kernel.vfs.mkdir("/tmp/d")
+            return run_guest(kernel, """
+    li r1, path
+    li r2, buf
+    call sys_stat
+    li r1, 1
+    li r2, buf
+    li r3, 12
+    call sys_write
+    li r1, dir
+    li r2, 0
+    call sys_open
+    mov r1, r0
+    li r2, buf
+    li r3, 256
+    li r4, 0
+    call sys_getdirentries
+    mov r3, r0
+    li r1, 1
+    li r2, buf
+    call sys_write
+""" + EXIT0,
+                ["stat", "open", "getdirentries", "write"],
+                data='.section .rodata\npath:\n  .asciz "/tmp/f"\n'
+                     'dir:\n  .asciz "/tmp"\n'
+                     '.section .bss\nbuf:\n  .space 256',
+            ).stdout
+
+        first = stat_and_list()
+        assert b"d\x00" in first and b"f\x00" in first
+        assert stat_and_list() == first
 
 
 class TestMemoryCalls:

@@ -110,3 +110,20 @@ loop:
         assert not undeclared
         traced = {name for name in recorder.counters if name.startswith("engine.")}
         assert traced == emitted
+
+    def test_every_socket_echo_counter_is_declared(self):
+        # A forked echo server on loopback sockets: every engine, sched
+        # and net name the run emits has HELP text.
+        from repro.installer import install
+        from repro.kernel import Kernel
+        from repro.workloads.netserver import build_netserver
+
+        kernel = Kernel()
+        binary = install(build_netserver(clients=2, requests=3), kernel.key).binary
+        multi = kernel.run_many([binary], timeslice=1500)
+        assert [t.exit_status for t in multi.scheduler.tasks.values()] == [0, 3, 3]
+        emitted = {name for name, _ in kernel.metrics
+                   if name.split(".", 1)[0] in ("engine", "sched", "net")}
+        assert {"net.accepts", "net.bytes_received",
+                "sched.context_switches", "engine.syscalls"} <= emitted
+        assert not emitted - set(COUNTER_HELP)
