@@ -22,8 +22,9 @@ process's own bytes there are equal and its region is readable (and
 executable under NX) — exactly the conditions under which translating
 afresh would reproduce it — and otherwise translates and publishes.
 Blocks truncated by a deferred fault or spanning two regions depend on
-more than their bytes and stay private.  Fused superblock thunk lists
-are memoized the same way, keyed by their member translations.
+more than their bytes and stay private.  Generated superblock functions
+are memoized the same way, keyed by the tuple of their member
+translations.
 
 On top of the translation cache sit two dispatch-elimination layers,
 both always on:
@@ -37,16 +38,24 @@ both always on:
   loop's dict probe and guard re-check.  Chained entry is only taken
   when the remaining instruction budget covers the successor, so
   scheduler preemption points are bit-identical with the interpreter.
-- **Superblocks.**  When a chain closes a hot cycle (per-block
-  execution counter), the member blocks are fused into a single
-  unrolled thunk list with one merged version-guard vector and one
-  batched cycle/budget decrement per pass.  Fused code is specialized:
-  adjacent compare+conditional-branch pairs become one thunk,
-  intra-cycle ``JMP``s are elided, and loads/stores run the one-entry
-  data-TLB fast path inline.  Off-cycle branch exits roll the batched
-  accounting back to the exact architectural state and return to the
-  dispatch loop, so every observable value (``RDTSC``, fault PCs,
-  preemption points) matches the interpreter.
+- **Generated superblocks.**  When a chain closes a hot cycle (a
+  block's execution count crosses a multiple of ``_HOT_MASK + 1``),
+  the member blocks are fused: one merged version-guard vector,
+  checked once at entry, and one Python function generated from the
+  per-opcode source templates in ``_TEMPLATES`` and ``exec``'d once.
+  Only integers — register indices, immediates, PCs, cycle
+  corrections — are formatted into the text, never guest bytes.  The
+  function ``run(vm, regs, budget)`` loops over passes of one trip
+  round the cycle (no unrolling, which keeps compile time near a
+  millisecond a superblock).  Registers and flags are locals, loaded
+  at entry and written back at every exit; cycles and instructions
+  are added once per pass; intra-cycle ``JMP``s vanish, and loads and
+  stores run the data-TLB fast path inline.  Each exit — pass end,
+  off-cycle branch, fault, self-modifying store — rolls the pass's
+  accounting back by pre-computed corrections, so every observable
+  value (``RDTSC``, fault PCs and messages, preemption points)
+  matches the interpreter.  Compile time is charged to the
+  ``block-chain`` span.  Cold blocks keep their closures.
 
 The invalidation invariant that makes chaining sound: **a chained or
 fused entry never re-validates its target's guards, so any write that
@@ -74,12 +83,12 @@ goal: registers, flags, memory, cycle counts (including the values
 instruction counts, fault PCs and messages, and fail-stop reasons must
 all be indistinguishable.  The pieces that make that work:
 
-- **Batched accounting with per-thunk corrections.**  A block's (or
-  superblock's) total cycles and instruction count are added on entry.
-  Thunks that can observe or abort mid-block (``RDTSC``, faults,
-  self-modifying stores, off-cycle branch exits) carry pre-computed
-  corrections (``total - prefix[i]``) so the architectural counters
-  are exact at every observation point.
+- **Batched accounting with per-instruction corrections.**  A
+  block's (or superblock pass's) total cycles and instruction count
+  are added on entry.  Instructions that can observe or abort
+  mid-block (``RDTSC``, faults, self-modifying stores, off-cycle
+  branch exits) carry pre-computed corrections (``total - prefix[i]``)
+  so the architectural counters are exact at every observation point.
 - **Traps end blocks.**  ``SYS``/``ASYS`` only ever appear as a block
   terminator, so ``vm.cycles`` is exact when the kernel's
   :class:`~repro.cpu.vm.TrapHandler` runs, ``vm.pc`` names the call
@@ -115,7 +124,8 @@ interpreter.
 
 from __future__ import annotations
 
-from struct import pack_into, unpack_from
+import re
+from struct import Struct, pack_into, unpack_from
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.cpu.memory import (
@@ -123,6 +133,7 @@ from repro.cpu.memory import (
     PAGE_SHIFT,
     PROT_EXEC,
     PROT_READ,
+    PROT_WRITE,
     Region,
 )
 from repro.cpu.vm import ExecutionFault
@@ -144,11 +155,9 @@ MAX_BLOCK = 64
 #: execution count crosses a multiple of ``_HOT_MASK + 1``.
 _HOT_MASK = 0xFF
 #: Superblock shape limits: at most this many member blocks / cycle
-#: instructions, unrolled toward ``_SB_TARGET_INSNS`` per pass.
+#: instructions per pass.
 _SB_MAX_BLOCKS = 8
 _SB_MAX_INSNS = 64
-_SB_TARGET_INSNS = 128
-_SB_MAX_UNROLL = 16
 #: A superblock that keeps aborting on stores into its own span (a
 #: loop that writes its own code region every pass) is torn down after
 #: this many SMC aborts; each abort is exact, just slow.
@@ -156,15 +165,13 @@ _SB_SMC_LIMIT = 4
 
 
 class BlockAbort(Exception):
-    """Internal control flow: the running block/superblock must stop
-    early with the architectural state already settled by the raiser.
-    ``consumed`` is how many instructions completed; ``smc`` marks
-    aborts caused by a store into the running translation's own span
-    (used to tear down pathologically self-modifying superblocks)."""
+    """Internal control flow: a store landed in the running block's
+    (or superblock's) own code, which must stop early with the
+    architectural state already settled by the raiser.  ``consumed``
+    is how many instructions completed."""
 
-    def __init__(self, consumed: int, smc: bool = False):
+    def __init__(self, consumed: int):
         self.consumed = consumed
-        self.smc = smc
 
 
 class Translation:
@@ -245,19 +252,15 @@ class Block:
 
 
 class Superblock:
-    """A fused, unrolled hot cycle: one guard vector, one batched
-    accounting update and budget decrement per pass.  The thunk list is
-    shared through the translation cache; guards, members and the
-    teardown state are this process's."""
+    """A fused hot cycle: one guard vector and one generated function
+    that runs whole passes.  The function is shared through the
+    translation cache; guards, members and the teardown state are this
+    process's."""
 
-    __slots__ = (
-        "entry", "count", "total_cycles", "thunks", "guards", "blocks",
-        "dead", "smc_aborts",
-    )
+    __slots__ = ("count", "run", "guards", "blocks", "dead", "smc_aborts")
 
-    def __init__(self, entry, fused, guards, blocks):
-        self.entry = entry
-        self.count, self.total_cycles, self.thunks = fused
+    def __init__(self, fused, guards, blocks):
+        self.count, self.run = fused
         self.guards = guards
         self.blocks = blocks
         self.dead = False
@@ -265,8 +268,8 @@ class Superblock:
 
 
 class TranslationCache:
-    """The kernel-wide store of published translations and fused
-    superblock thunk lists.
+    """The kernel-wide store of published translations and generated
+    superblock functions.
 
     Translations are found by entry PC and bound only when the
     caller's code bytes equal the translation's, so one entry PC may
@@ -285,8 +288,8 @@ class TranslationCache:
 
     def __init__(self) -> None:
         self._variants: dict[int, list[Translation]] = {}
-        #: Member translations of a fused cycle -> (count, cycles,
-        #: thunks) of the unrolled pass.
+        #: Member translations of a fused cycle -> (instructions per
+        #: pass, generated function).
         self._fused: dict[tuple, tuple] = {}
         self._insns = 0
 
@@ -483,31 +486,17 @@ class BlockCache:
                 self._kill_superblock(sb)
                 return False, budget
         vm = self.vm
-        regs = vm.regs
-        entry = sb.entry
-        count = sb.count
-        cycles = sb.total_cycles
-        thunks = sb.thunks
-        while count <= budget:
-            vm.cycles += cycles
-            vm.instructions_executed += count
-            try:
-                for thunk in thunks:
-                    thunk(vm, regs)
-            except BlockAbort as abort:
-                # The raiser already rolled the batched accounting
-                # back and set vm.pc; only the budget needs settling.
-                budget -= abort.consumed
-                if abort.smc and not sb.dead:
-                    sb.smc_aborts += 1
-                    if sb.smc_aborts >= _SB_SMC_LIMIT:
-                        sb.blocks[0].fusable = False
-                        self._kill_superblock(sb)
-                break
-            budget -= count
-            if vm.pc != entry:
-                break
-        return True, budget
+        try:
+            return True, sb.run(vm, vm.regs, budget)
+        except BlockAbort as abort:
+            # A store into the fused span; the generated code already
+            # settled the architectural state.
+            if not sb.dead:
+                sb.smc_aborts += 1
+                if sb.smc_aborts >= _SB_SMC_LIMIT:
+                    sb.blocks[0].fusable = False
+                    self._kill_superblock(sb)
+            return True, budget - abort.consumed
 
     # -- cache management ----------------------------------------------
 
@@ -717,20 +706,20 @@ class BlockCache:
             block = nxt
         recorder = self.vm.recorder
         if not recorder.enabled:
-            self._fuse(path, insns)
+            self._fuse(path)
             return
         recorder.begin("block-chain", "engine")
         try:
-            self._fuse(path, insns)
+            self._fuse(path)
         finally:
             recorder.end()
 
-    def _fuse(self, path: list, cycle_insns: int) -> None:
+    def _fuse(self, path: list) -> None:
         members = tuple(block.translation for block in path)
         translations = self.translations
         fused = translations.fused(members)
         if fused is None:
-            fused = _fuse_thunks(members, cycle_insns)
+            fused = _compile_superblock(members)
             translations.publish_fused(members, fused)
         # Merged guard vector (deduped by region): one validation per
         # superblock entry instead of one per member per pass.
@@ -745,7 +734,7 @@ class BlockCache:
                     seen_regions.add(id(region))
                     guards.append((region, version))
         head = path[0]
-        sb = Superblock(head.entry, fused, tuple(guards), tuple(path))
+        sb = Superblock(fused, tuple(guards), tuple(path))
         head.sb = sb
         for member in path:
             member.sbs.append(sb)
@@ -848,7 +837,7 @@ def _translate(memory, nx: bool, entry: int):
     if terminated:
         tpc, top, _, timm = fetched[-1]
         tnxt = tpc + INSTRUCTION_SIZE
-        if top in _CONDITION_FLAGS:
+        if top in _CONDITIONAL:
             s1_pc = timm & _MASK
             s2_pc = tnxt
             fusable = True
@@ -876,244 +865,251 @@ def _translate(memory, nx: bool, entry: int):
     return translation, guards, not truncated and len(guards) == 1
 
 
-def _fuse_thunks(path: tuple, cycle_insns: int) -> tuple:
-    """The unrolled pass of a hot cycle of translations, as
-    ``(count, total cycles, thunks)``: a pure function of ``path``."""
+# -- superblock code generation ------------------------------------------
+
+# Source templates of the generated superblock tier, one per opcode a
+# fusable block can contain.  Registers are the locals ``r0``..``r15``
+# and the flags ``fz``/``fn``; ``{0}``..``{2}`` are the instruction's
+# register fields in encoding order.  Every other field is an integer
+# fixed at compile time: ``imm`` (masked to 32 bits), ``pc``, ``nxt``
+# (the next PC), ``lo``/``hi`` (the fused span, the SMC window) and the
+# exit corrections ``k`` (cycles charged past this instruction in the
+# pass) and ``r`` (instructions of the pass after it).  An exit rolls
+# the pass's batched accounting back by those corrections, sets ``pc``
+# and leaves the pass loop; the epilogue writes every local back.
+
+_EXIT = "cycles -= {k}; budget += {r}; pc = {off}; break"
+_FAULT = "cycles -= {k}; budget += {r}; pc = {pc}; abort = %s; break"
+#: Data-TLB refill after a canonical access succeeded.
+_REFILL = "    dreg, d_start, d_data, d_r, d_w = _tlb(memory.region_at(a))\n"
+
+
+def _bound(size: int) -> str:
+    """The last offset a ``size``-byte access may start at, as ``<``
+    bound over the readable (``d_r``) or writable (``d_w``) length."""
+    return "" if size == 1 else f" - {size - 1}"
+
+
+def _load(size: int, fast: str, slow: str, prefix: str = "") -> str:
+    """``v`` = the ``size``-byte value at ``a``: the data-TLB fast path,
+    else the canonical read (which raises the interpreter's fault)."""
+    return (
+        "o = a - d_start\n"
+        f"if 0 <= o < d_r{_bound(size)}:\n"
+        f"    v = {fast}\n"
+        "else:\n"
+        f"    try: v = memory.{slow}(a)\n"
+        f"    except MemoryFault as err: {_FAULT % f'({prefix}str(err), err)'}\n"
+        + _REFILL
+    )
+
+
+def _store(size: int, fast: str, slow: str, prefix: str = "") -> str:
+    """Store ``v`` at ``a``: pre-image invalidation of this process's
+    code on the stored pages, the data-TLB fast path or the canonical
+    write, then the SMC check against the fused span."""
+    return (
+        "o = a - d_start\n"
+        f"if 0 <= o < d_w{_bound(size)}:\n"
+        f"    if a >> {PAGE_SHIFT} in pages"
+        f" or (a + {size - 1}) >> {PAGE_SHIFT} in pages:\n"
+        f"        note_write(a, {size})\n"
+        f"    {fast}\n"
+        "    dreg.version += 1\n"
+        "else:\n"
+        f"    try: memory.{slow}(a, v)\n"
+        f"    except MemoryFault as err: {_FAULT % f'({prefix}str(err), err)'}\n"
+        + _REFILL
+        + f"if a < {{hi}} and a + {size} > {{lo}}:\n"
+        "    cycles -= {k}; budget += {r}; pc = {nxt}; abort = True; break\n"
+    )
+
+
+def _divide(divisor: str, quotient: str) -> str:
+    return (
+        f"if {divisor} == 0: {_FAULT % repr(('division by zero', None))}\n"
+        f"r{{0}} = {quotient}"
+    )
+
+
+_ADDRESS = "a = (r{1} + {imm}) & 0xFFFFFFFF\n"
+_LOAD32 = _load(4, "_unpack(d_data, o)[0]", "read_u32")
+_STORE32 = _store(4, "_pack(d_data, o, v & 0xFFFFFFFF)", "write_u32")
+
+#: Statement templates for straight-line opcodes; for a control
+#: transfer, the expression that is true when it is taken.
+_TEMPLATES = {
+    Op.NOP: "",  # NOP and CPUWORK live entirely in the pass's cycle total
+    Op.CPUWORK: "",
+    Op.LI: "r{0} = {imm}",
+    Op.MOV: "r{0} = r{1}",
+    Op.ADD: "r{0} = (r{1} + r{2}) & 0xFFFFFFFF",
+    Op.SUB: "r{0} = (r{1} - r{2}) & 0xFFFFFFFF",
+    Op.MUL: "r{0} = (r{1} * r{2}) & 0xFFFFFFFF",
+    Op.DIV: _divide("r{2}", "r{1} // r{2}"),
+    Op.MOD: _divide("r{2}", "r{1} % r{2}"),
+    Op.AND: "r{0} = r{1} & r{2}",
+    Op.OR: "r{0} = r{1} | r{2}",
+    Op.XOR: "r{0} = r{1} ^ r{2}",
+    Op.SHL: "r{0} = (r{1} << (r{2} & 31)) & 0xFFFFFFFF",
+    Op.SHR: "r{0} = r{1} >> (r{2} & 31)",
+    Op.ADDI: "r{0} = (r{1} + {imm}) & 0xFFFFFFFF",
+    Op.SUBI: "r{0} = (r{1} - {imm}) & 0xFFFFFFFF",
+    Op.MULI: "r{0} = (r{1} * {imm}) & 0xFFFFFFFF",
+    Op.DIVI: _divide("{imm}", "r{1} // {imm}"),
+    Op.ANDI: "r{0} = r{1} & {imm}",
+    Op.ORI: "r{0} = r{1} | {imm}",
+    Op.XORI: "r{0} = r{1} ^ {imm}",
+    Op.SHLI: "r{0} = (r{1} << ({imm} & 31)) & 0xFFFFFFFF",
+    Op.SHRI: "r{0} = r{1} >> ({imm} & 31)",
+    Op.LD: _ADDRESS + _LOAD32 + "r{0} = v",
+    Op.LDB: _ADDRESS + _load(1, "d_data[o]", "read_u8") + "r{0} = v",
+    Op.ST: _ADDRESS + "v = r{0}\n" + _STORE32,
+    Op.STB: _ADDRESS + "v = r{0}\n"
+    + _store(1, "d_data[o] = v & 0xFF", "write_u8"),
+    # The pushed value is read before SP moves, and SP stays moved
+    # when the store faults -- both as in the interpreter.
+    Op.PUSH: "v = r{0}\nr15 = (r15 - 4) & 0xFFFFFFFF\na = r15\n"
+    + _store(4, "_pack(d_data, o, v & 0xFFFFFFFF)", "write_u32",
+             "'stack overflow: ' + "),
+    Op.POP: "a = r15\n"
+    + _load(4, "_unpack(d_data, o)[0]", "read_u32", "'stack underflow: ' + ")
+    + "r15 = (r15 + 4) & 0xFFFFFFFF\nr{0} = v",
+    # Signed order of 32-bit values is unsigned order with bit 31 flipped.
+    Op.CMP: "fz = r{0} == r{1}\nfn = (r{0} ^ 0x80000000) < (r{1} ^ 0x80000000)",
+    Op.CMPI: "fz = r{0} == {imm}\nfn = (r{0} ^ 0x80000000) < ({imm} ^ 0x80000000)",
+    Op.RDTSC: "r{0} = (cycles - {k}) & 0xFFFFFFFF",
+    Op.RDTSCH: "r{0} = ((cycles - {k}) >> 32) & 0xFFFFFFFF",
+    Op.BEQ: "fz",
+    Op.BNE: "not fz",
+    Op.BLT: "fn",
+    Op.BGE: "not fn",
+    Op.BLE: "fn or fz",
+    Op.BGT: "not (fn or fz)",
+    Op.JMP: "True",
+}
+
+
+def _tlb(region: Region) -> tuple:
+    """The data-TLB locals of generated code for ``region``: itself,
+    its start and bytes, and its readable and writable lengths (0
+    without the permission).  Protection and size cannot change while
+    a superblock runs: only syscalls change them, and traps are never
+    fused."""
+    size = len(region.data)
+    return (
+        region, region.start, region.data,
+        size if region.prot & PROT_READ else 0,
+        size if region.prot & PROT_WRITE else 0,
+    )
+
+
+#: The names the generated functions reach besides their arguments.
+_GENERATED_GLOBALS = {
+    "MemoryFault": MemoryFault,
+    "ExecutionFault": ExecutionFault,
+    "BlockAbort": BlockAbort,
+    "_tlb": _tlb,
+    "_unpack": Struct("<I").unpack_from,
+    "_pack": Struct("<I").pack_into,
+}
+
+
+def _compile_superblock(path: tuple) -> tuple:
+    """Generate, ``exec`` and return ``(count, run)`` for one pass of a
+    hot cycle of translations (a pure function of ``path``).
+
+    ``run(vm, regs, budget)`` executes whole passes while ``budget``
+    covers one and returns the budget left.  It leaves the loop early
+    at an off-cycle branch (``vm.pc`` names the branch target) and
+    raises the interpreter's :class:`ExecutionFault` on a fault, or
+    :class:`BlockAbort` after a store into the fused span; every exit
+    leaves registers, flags, cycles, instruction count and ``vm.pc``
+    exactly as the interpreter would."""
     head = path[0]
-    unroll = max(1, min(_SB_MAX_UNROLL, _SB_TARGET_INSNS // cycle_insns))
-    span_lo = min(t.entry for t in path)
-    span_hi = max(t.end for t in path)
+    lo = min(t.entry for t in path)
+    hi = max(t.end for t in path)
+    steps = []  # (pc, op, register fields, imm, off-cycle exit or None)
+    for i, member in enumerate(path):
+        follow = path[i + 1].entry if i + 1 < len(path) else head.entry
+        for pc, op, regs_f, imm in member.code[:-1]:
+            steps.append((pc, op, regs_f, imm, None))
+        pc, op, regs_f, imm = member.code[-1]
+        taken = _TEMPLATES[op]
+        if op is Op.JMP or member.s1_pc == member.s2_pc:
+            leave = None  # control stays in the cycle either way
+        elif follow == member.s1_pc:
+            leave = (f"not ({taken})", member.s2_pc)
+        else:
+            leave = (taken, member.s1_pc)
+        steps.append((pc, op, (), None, leave))
 
-    # Flatten `unroll` copies of the cycle.  Unrolled copies share
-    # the same guest PCs, so every pre-bound PC/fault value stays
-    # architecturally correct in any copy.
-    flat = []  # (pc, op, reg fields, imm, is_terminator, on_taken, member)
-    npath = len(path)
-    for _ in range(unroll):
-        for bi, member in enumerate(path):
-            chosen = path[bi + 1] if bi + 1 < npath else head
-            code = member.code
-            last = len(code) - 1
-            for k, (ipc, op, regs_f, imm) in enumerate(code):
-                on_taken = k == last and chosen.entry == member.s1_pc
-                flat.append((ipc, op, regs_f, imm, k == last, on_taken, member))
-
-    n = len(flat)
-    prefix = []
-    total = 0
-    for _, op, _, imm, _, _, _ in flat:
-        total += OPCODE_INFO[op].cycles
-        if op is Op.CPUWORK:
-            total += imm
-        prefix.append(total)
-
-    thunks: list[Callable] = []
-    j = 0
-    while j < n:
-        ipc, op, regs_f, imm, is_term, on_taken, member = flat[j]
-        final = j == n - 1
-        if is_term:
-            if final:
-                # The pass-closing terminator runs unspecialized
-                # with zero corrections: it sets vm.pc on both
-                # paths and the pass loop checks it against the
-                # superblock entry.
-                thunks.append(_make_thunk(
-                    ipc, op, regs_f, imm,
-                    cyc_corr=0, icnt_corr=0, consumed=n,
-                    smc_lo=span_lo, smc_hi=span_hi,
-                ))
-            elif op is Op.JMP or member.s1_pc == member.s2_pc:
-                pass  # intra-cycle jump: control simply continues
-            else:
-                off_pc = member.s2_pc if on_taken else member.s1_pc
-                thunks.append(_branch_exit(
-                    op, on_taken, off_pc,
-                    cyc_corr=total - prefix[j],
-                    icnt_corr=n - (j + 1),
-                    consumed=j + 1,
-                ))
-            j += 1
-            continue
-        if (op is Op.CMP or op is Op.CMPI) and j + 1 < n - 1:
-            (nipc, nop, nregs, nimm, nterm, non_taken, nmember) = flat[j + 1]
-            if nterm and nop in _CONDITION_FLAGS and nmember.s1_pc != nmember.s2_pc:
-                # Fused compare+branch: one thunk sets the
-                # architectural flags and takes the exit decision.
-                thunks.append(_fused_compare_branch(
-                    op, regs_f, imm, nop, non_taken,
-                    nmember.s2_pc if non_taken else nmember.s1_pc,
-                    cyc_corr=total - prefix[j + 1],
-                    icnt_corr=n - (j + 2),
-                    consumed=j + 2,
-                ))
-                j += 2
-                continue
-        thunk = _make_thunk(
-            ipc, op, regs_f, imm,
-            cyc_corr=total - prefix[j],
-            icnt_corr=n - (j + 1),
-            consumed=j + 1,
-            smc_lo=span_lo, smc_hi=span_hi,
+    count = len(steps)
+    costs = [
+        OPCODE_INFO[op].cycles + (imm if op is Op.CPUWORK else 0)
+        for _, op, _, imm, _ in steps
+    ]
+    total = sum(costs)
+    body = []
+    charged = 0
+    for j, (pc, op, regs_f, imm, leave) in enumerate(steps):
+        charged += costs[j]
+        fields = dict(
+            imm=(imm or 0) & _MASK, pc=pc, nxt=pc + INSTRUCTION_SIZE,
+            lo=lo, hi=hi, k=total - charged, r=count - (j + 1),
         )
-        if thunk is not None:
-            thunks.append(thunk)
-        j += 1
-    return n, total, tuple(thunks)
+        if op in _CONDITIONAL or op is Op.JMP:
+            if leave is not None:
+                body.append(
+                    f"if {leave[0]}: "
+                    + _EXIT.format(off=leave[1], **fields) + "\n"
+                )
+            continue
+        text = _TEMPLATES[op].format(*regs_f, **fields)
+        if text:
+            body.append(text.rstrip("\n") + "\n")
+    text = "".join(body)
+
+    used = sorted({int(n) for n in re.findall(r"\br(\d+)\b", text)})
+    written = sorted(
+        {int(n) for n in re.findall(r"^\s*r(\d+) = ", text, re.MULTILINE)}
+    )
+    flags = "fz" in text or "fn" in text
+    memory = "d_start" in text
+    source = ["def run(vm, regs, budget):"]
+    source += [f"    r{n} = regs[{n}]" for n in used]
+    if flags:
+        source.append("    fz = vm.flag_zero; fn = vm.flag_neg")
+    source.append(f"    cycles = vm.cycles; start = budget; pc = {head.entry}")
+    source.append("    abort = None")
+    if memory:
+        source.append("    memory = vm.memory; pages = vm._code_pages")
+        source.append("    note_write = vm._block_cache.note_write")
+        source.append("    dreg, d_start, d_data, d_r, d_w = _tlb(vm._dregion)")
+    source.append(f"    while budget >= {count}:")
+    source.append(f"        cycles += {total}; budget -= {count}")
+    source += ["        " + line for line in text.splitlines()]
+    source += [f"    regs[{n}] = r{n}" for n in written]
+    if "fz =" in text:
+        source.append("    vm.flag_zero = fz; vm.flag_neg = fn")
+    source.append("    vm.cycles = cycles; vm.pc = pc")
+    source.append("    vm.instructions_executed += start - budget")
+    if memory:
+        source.append("    vm._dregion = dreg")
+    source += [
+        "    if abort is True:",
+        "        raise BlockAbort(start - budget)",
+        "    if abort is not None:",
+        "        raise ExecutionFault(pc, abort[0]) from abort[1]",
+        "    return budget",
+    ]
+    namespace = dict(_GENERATED_GLOBALS)
+    exec(compile("\n".join(source) + "\n", f"<superblock {head.entry:#x}>",
+                 "exec"), namespace)
+    return count, namespace["run"]
 
 
 # -- thunk factories -----------------------------------------------------
-
-
-def _branch_exit(
-    op, on_taken, off_pc, cyc_corr, icnt_corr, consumed
-) -> Callable:
-    """A mid-superblock conditional branch whose flags were set by
-    an earlier (non-adjacent) compare: continue on the fused path,
-    or roll back the batched accounting and exit."""
-    family, invert = _BRANCH_FAMILY[op]
-    want = on_taken ^ invert
-
-    if family == "z":
-
-        def thunk(vm, regs):
-            if vm.flag_zero != want:
-                vm.cycles -= cyc_corr
-                vm.instructions_executed -= icnt_corr
-                vm.pc = off_pc
-                raise BlockAbort(consumed)
-
-    elif family == "n":
-
-        def thunk(vm, regs):
-            if vm.flag_neg != want:
-                vm.cycles -= cyc_corr
-                vm.instructions_executed -= icnt_corr
-                vm.pc = off_pc
-                raise BlockAbort(consumed)
-
-    else:  # "nz"
-
-        def thunk(vm, regs):
-            if (vm.flag_neg or vm.flag_zero) != want:
-                vm.cycles -= cyc_corr
-                vm.instructions_executed -= icnt_corr
-                vm.pc = off_pc
-                raise BlockAbort(consumed)
-
-    return thunk
-
-
-def _fused_compare_branch(
-    cmp_op, cmp_regs, cmp_imm, br_op, on_taken, off_pc,
-    cyc_corr, icnt_corr, consumed,
-) -> Callable:
-    """One thunk for an adjacent CMP/CMPI + conditional branch
-    pair inside a superblock.  The architectural flags are always
-    set (a later exit must observe them exactly as the interpreter
-    would); corrections are the *branch's*, since both
-    instructions have executed when the exit is taken."""
-    family, invert = _BRANCH_FAMILY[br_op]
-    want = on_taken ^ invert
-
-    if cmp_op is Op.CMPI:
-        a = cmp_regs[0]
-        value = cmp_imm & _MASK
-        signed_value = _signed(value)
-
-        if family == "z":
-
-            def thunk(vm, regs):
-                x = regs[a]
-                z = x == value
-                vm.flag_zero = z
-                vm.flag_neg = (x - _WRAP if x & _SIGN else x) < signed_value
-                if z != want:
-                    vm.cycles -= cyc_corr
-                    vm.instructions_executed -= icnt_corr
-                    vm.pc = off_pc
-                    raise BlockAbort(consumed)
-
-        elif family == "n":
-
-            def thunk(vm, regs):
-                x = regs[a]
-                neg = (x - _WRAP if x & _SIGN else x) < signed_value
-                vm.flag_zero = x == value
-                vm.flag_neg = neg
-                if neg != want:
-                    vm.cycles -= cyc_corr
-                    vm.instructions_executed -= icnt_corr
-                    vm.pc = off_pc
-                    raise BlockAbort(consumed)
-
-        else:  # "nz"
-
-            def thunk(vm, regs):
-                x = regs[a]
-                z = x == value
-                neg = (x - _WRAP if x & _SIGN else x) < signed_value
-                vm.flag_zero = z
-                vm.flag_neg = neg
-                if (neg or z) != want:
-                    vm.cycles -= cyc_corr
-                    vm.instructions_executed -= icnt_corr
-                    vm.pc = off_pc
-                    raise BlockAbort(consumed)
-
-    else:  # CMP ra, rb
-        a, b = cmp_regs
-
-        if family == "z":
-
-            def thunk(vm, regs):
-                x = regs[a]
-                y = regs[b]
-                z = x == y
-                vm.flag_zero = z
-                vm.flag_neg = (x - _WRAP if x & _SIGN else x) < (
-                    y - _WRAP if y & _SIGN else y
-                )
-                if z != want:
-                    vm.cycles -= cyc_corr
-                    vm.instructions_executed -= icnt_corr
-                    vm.pc = off_pc
-                    raise BlockAbort(consumed)
-
-        elif family == "n":
-
-            def thunk(vm, regs):
-                x = regs[a]
-                y = regs[b]
-                neg = (x - _WRAP if x & _SIGN else x) < (
-                    y - _WRAP if y & _SIGN else y
-                )
-                vm.flag_zero = x == y
-                vm.flag_neg = neg
-                if neg != want:
-                    vm.cycles -= cyc_corr
-                    vm.instructions_executed -= icnt_corr
-                    vm.pc = off_pc
-                    raise BlockAbort(consumed)
-
-        else:  # "nz"
-
-            def thunk(vm, regs):
-                x = regs[a]
-                y = regs[b]
-                z = x == y
-                neg = (x - _WRAP if x & _SIGN else x) < (
-                    y - _WRAP if y & _SIGN else y
-                )
-                vm.flag_zero = z
-                vm.flag_neg = neg
-                if (neg or z) != want:
-                    vm.cycles -= cyc_corr
-                    vm.instructions_executed -= icnt_corr
-                    vm.pc = off_pc
-                    raise BlockAbort(consumed)
-
-    return thunk
 
 
 def _make_thunk(
@@ -1122,13 +1118,11 @@ def _make_thunk(
 ) -> Optional[Callable]:
     """Compile one instruction into a pre-bound closure.
 
-    ``[smc_lo, smc_hi)`` is the self-modification window: a store
-    landing in it aborts the running translation after the write.
-    For a plain block that is the unexecuted remainder; for a
-    superblock it is the whole member span (conservative: every PC
-    in a cycle is "not yet executed" from the next pass's point of
-    view).  Returns ``None`` for instructions whose entire effect
-    lives in the batched accounting (``NOP``, ``CPUWORK``)."""
+    ``[smc_lo, smc_hi)`` is the self-modification window, the
+    block's unexecuted remainder: a store landing in it aborts the
+    running block after the write.  Returns ``None`` for
+    instructions whose entire effect lives in the batched accounting
+    (``NOP``, ``CPUWORK``)."""
     nxt = pc + INSTRUCTION_SIZE
 
     def fault(vm, message, cause=None):
@@ -1150,7 +1144,7 @@ def _make_thunk(
                 vm.cycles -= cyc_corr
                 vm.instructions_executed -= icnt_corr
                 vm.pc = nxt
-                raise BlockAbort(consumed, smc=True)
+                raise BlockAbort(consumed)
 
     else:  # empty window (a terminator's own store can't SMC-abort)
 
@@ -1453,7 +1447,7 @@ def _make_thunk(
 
     # -- terminators ----------------------------------------------
 
-    elif op in _CONDITION_FLAGS:
+    elif op in _CONDITIONAL:
         target = imm & _MASK
 
         if op is Op.BEQ:
@@ -1551,27 +1545,6 @@ def _make_thunk(
     return thunk
 
 
-#: Marker table for the conditional branches (the tuple payload is
-#: unused — membership drives the dispatch above, mirroring the
-#: interpreter's _CONDITIONS table).
-_CONDITION_FLAGS = {
-    Op.BEQ: (True, False, False, False),
-    Op.BNE: (True, False, False, True),
-    Op.BLT: (False, True, False, False),
-    Op.BGE: (False, True, False, True),
-    Op.BLE: (False, False, True, False),
-    Op.BGT: (False, False, True, True),
-}
-
-#: Conditional-branch decomposition for superblock specialization:
-#: which flag family the predicate reads ("z" = zero, "n" = negative,
-#: "nz" = negative-or-zero) and whether the branch takes on the
-#: *false* value of that family.
-_BRANCH_FAMILY = {
-    Op.BEQ: ("z", False),
-    Op.BNE: ("z", True),
-    Op.BLT: ("n", False),
-    Op.BGE: ("n", True),
-    Op.BLE: ("nz", False),
-    Op.BGT: ("nz", True),
-}
+_CONDITIONAL = frozenset(
+    (Op.BEQ, Op.BNE, Op.BLT, Op.BGE, Op.BLE, Op.BGT)
+)

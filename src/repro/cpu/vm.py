@@ -119,6 +119,10 @@ class VM:
         self.cycles = 0
         self.instructions_executed = 0
         self.syscall_count = 0
+        #: The ``(instructions_executed, syscall_count)`` this VM took
+        #: over from the one it was forked or exec'd from, whose own
+        #: engine metrics already count them.
+        self.inherited_counts = (0, 0)
         self.trap_handler = trap_handler
         self.nx = nx
         self.exit_status: Optional[int] = None

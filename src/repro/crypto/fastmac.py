@@ -23,10 +23,19 @@ class FastMac:
     def __init__(self, key: bytes):
         if len(key) != 16:
             raise ValueError(f"FastMac requires a 16-byte key, got {len(key)}")
-        self._key = key
+        # HMAC (RFC 2104) with the key pads absorbed once: each tag
+        # copies the two pre-keyed SHA-256 states instead of building
+        # a new ``hmac`` object.
+        block = key.ljust(hashlib.sha256().block_size, b"\0")
+        self._inner = hashlib.sha256(bytes(b ^ 0x36 for b in block))
+        self._outer = hashlib.sha256(bytes(b ^ 0x5C for b in block))
 
     def tag(self, message: bytes) -> bytes:
-        return hmac.new(self._key, message, hashlib.sha256).digest()[:MAC_SIZE]
+        inner = self._inner.copy()
+        inner.update(message)
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        return outer.digest()[:MAC_SIZE]
 
     def verify(self, message: bytes, tag: bytes) -> bool:
         return hmac.compare_digest(self.tag(message), tag)

@@ -363,9 +363,12 @@ class Kernel:
         machine-wide registry (and the recorder, when tracing).  Done
         once per process teardown so the hot loops only ever touch plain
         attribute counters."""
+        base_instructions, base_syscalls = vm.inherited_counts
         tallies = {
-            "engine.instructions_retired": vm.instructions_executed,
-            "engine.syscalls": vm.syscall_count,
+            "engine.instructions_retired": (
+                vm.instructions_executed - base_instructions
+            ),
+            "engine.syscalls": vm.syscall_count - base_syscalls,
             "decode.invalidations": vm.decode_invalidations,
         }
         if vm._block_cache is not None:
@@ -675,6 +678,12 @@ class Kernel:
         # Per-pid kernel state: the capability table and verifier belong
         # to the old image; drop and restart them.
         self._vm_process.pop(id(old_vm), None)
+        # The old image's engine work goes into the metrics now; the
+        # new VM reports only what it runs itself.
+        self._sync_engine_metrics(old_vm)
+        new_vm.inherited_counts = (
+            old_vm.instructions_executed, old_vm.syscall_count,
+        )
         old_vm.release()
         self._vm_process[id(new_vm)] = process
         self._capabilities[process.pid] = CapabilityTable()
@@ -723,6 +732,11 @@ class Kernel:
         child_vm.cycles = parent_vm.cycles
         child_vm.instructions_executed = parent_vm.instructions_executed
         child_vm.syscall_count = parent_vm.syscall_count
+        # The parent's metrics count those; the child's count only
+        # what it runs after the fork.
+        child_vm.inherited_counts = (
+            parent_vm.instructions_executed, parent_vm.syscall_count,
+        )
         child_vm.stack_top = parent_vm.stack_top
         child_vm.pc = parent_vm.pc + INSTRUCTION_SIZE  # resume past the trap
         child_vm.regs[0] = 0  # fork() returns 0 in the child

@@ -126,12 +126,8 @@ class SiteThunk:
         "reg_checks",
         "patterns",
         "control",
-        "record",
         "block_id",
-        "blocks",
-        "cycles",
-        "fd_mask",
-        "fd_allowed",
+        "result",
     )
 
     def __init__(
@@ -161,12 +157,21 @@ class SiteThunk:
         #: (lastblock_ptr, predecessor frozenset, packed block id) for
         #: control-flow-constrained sites, else None.
         self.control = control
-        self.record = record
         self.block_id = record.block_id
-        self.blocks = blocks
-        self.cycles = cycles
-        self.fd_mask = fd_mask
-        self.fd_allowed = fd_allowed
+        #: What every passing execution returns: the generic
+        #: checker's fast-path-hit result for this site, which depends
+        #: on nothing read at trap time (results are never mutated).
+        self.result = CheckResult(
+            syscall_number=syscall_number,
+            block_id=record.block_id,
+            record=record,
+            mac_blocks=blocks,
+            cycles=cycles,
+            fd_mask=fd_mask,
+            fd_allowed=fd_allowed,
+            cache_hits=1,
+            cache_misses=0,
+        )
 
 
 class VerifierJit:
@@ -331,17 +336,7 @@ class VerifierJit:
         rec = self._recorder
         if rec.enabled:
             rec.inc("verifier.thunk_hits")
-        return CheckResult(
-            syscall_number=thunk.syscall_number,
-            block_id=thunk.block_id,
-            record=thunk.record,
-            mac_blocks=thunk.blocks,
-            cycles=thunk.cycles,
-            fd_mask=thunk.fd_mask,
-            fd_allowed=thunk.fd_allowed,
-            cache_hits=1,
-            cache_misses=0,
-        )
+        return thunk.result
 
     # -- compilation -----------------------------------------------------
 

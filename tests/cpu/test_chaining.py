@@ -13,11 +13,14 @@ shared-region writes).
 
 import hashlib
 
+import pytest
+
 from repro.asm import assemble
 from repro.binfmt import link
 from repro.cpu import ExecutionFault, Memory, PROT_EXEC, PROT_READ, PROT_WRITE, VM
 from repro.isa import Instruction, encode_instruction
-from repro.isa.opcodes import Op
+from repro.isa.opcodes import OPCODE_INFO, Op
+from repro.cpu.threaded import BlockCache, _CONDITIONAL, _TEMPLATES
 
 
 def _encode(instructions) -> bytes:
@@ -29,6 +32,7 @@ def _memory_digest(vm: VM) -> str:
     for region in vm.memory.regions():
         digest.update(region.name.encode())
         digest.update(bytes(region.data))
+        digest.update(region.version.to_bytes(8, "little"))
     return digest.hexdigest()
 
 
@@ -308,6 +312,330 @@ class TestSuperblocks:
         cache.note_write(text.start, len(text.data))
         assert not cache._blocks
         assert cache.superblocks_killed == cache.superblocks_fused
+
+
+# -- the generated superblock tier ----------------------------------------
+
+RW = PROT_READ | PROT_WRITE
+
+
+def _guest(source: str, engine: str, regions=()) -> VM:
+    """``source`` linked at the default base with every segment mapped
+    read/write/execute (so it may patch itself), plus ``regions`` of
+    ``(start, size, prot)``."""
+    image = link(assemble(".section .text\n_start:\n" + source))
+    memory = Memory()
+    for segment in image.segments:
+        memory.map_region(
+            segment.vaddr, max(segment.size, 16),
+            PROT_READ | PROT_WRITE | PROT_EXEC,
+            name=segment.name, data=segment.data,
+        )
+    for index, (start, size, prot) in enumerate(regions):
+        memory.map_region(start, size, prot, name=f"data{index}")
+    return VM(memory=memory, entry=image.entry, engine=engine)
+
+
+def _fused_ops(cache) -> set:
+    """Opcodes inside the process's live superblocks."""
+    return {
+        op
+        for block in cache._blocks.values() if block.sb is not None
+        for member in block.sb.blocks
+        for _, op, _, _ in member.translation.code
+    }
+
+
+def _differential(source: str, regions=(), fault: bool = False, fuse=None):
+    """Run ``source`` under both engines and assert bit-identical final
+    state.  ``fuse(vm)`` names the PC of a one-block self-loop to fuse
+    before the threaded run starts.  Returns the threaded VM's block
+    cache."""
+    states = {}
+    cache = None
+    for engine in ("interp", "threaded"):
+        vm = _guest(source, engine, regions)
+        if engine == "threaded" and fuse is not None:
+            cache = vm._block_cache = BlockCache(vm)
+            head = cache.lookup(fuse(vm))
+            head.s1 = head
+            cache._fuse([head])
+        error = None
+        try:
+            vm.run(max_instructions=2_000_000)
+        except ExecutionFault as err:
+            error = err
+        assert (error is not None) == fault, error
+        states[engine] = _state(vm, error)
+        cache = vm._block_cache if engine == "threaded" else cache
+    assert states["threaded"] == states["interp"]
+    assert cache.superblocks_fused >= 1
+    return cache
+
+
+#: Every opcode a fusable block can hold besides its terminator.
+STRAIGHT_LINE = {
+    op for op in Op
+    if not (OPCODE_INFO[op].is_branch or OPCODE_INFO[op].is_trap
+            or op is Op.HALT)
+}
+
+EVERY_OPCODE = """
+    li r1, 0
+    li r8, 0x10000
+    li r15, 0x10800
+loop:
+    addi r1, r1, 1
+    li r2, 0x9E3779B9
+    mov r3, r1
+    mul r3, r3, r2
+    add r4, r4, r3
+    sub r5, r4, r1
+    divi r6, r3, 7
+    div r7, r3, r1
+    mod r9, r3, r1
+    and r10, r3, r5
+    or r11, r10, r6
+    xor r12, r11, r7
+    andi r13, r1, 31
+    shl r14, r3, r13
+    shr r2, r3, r13
+    xor r12, r12, r14
+    xor r12, r12, r2
+    subi r2, r9, 3
+    muli r2, r2, 13
+    ori r2, r2, 0x100
+    xori r2, r2, 0xFF
+    shli r14, r2, 3
+    shri r14, r14, 1
+    add r12, r12, r14
+    st r12, [r8+0]
+    stb r1, [r8+5]
+    ld r13, [r8+4]
+    ldb r14, [r8+0]
+    add r12, r12, r13
+    add r12, r12, r14
+    push r12
+    push r1
+    pop r13
+    pop r14
+    cmp r13, r14
+    nop
+    cpuwork 3
+    rdtsc r13
+    rdtsch r14
+    add r12, r12, r13
+    add r12, r12, r14
+    cmpi r1, 1000
+    blt loop
+    halt
+"""
+
+
+class TestGeneratedSuperblocks:
+    """The generated tier against the interpreter: every opcode, every
+    exit (fault, off-cycle branch, SMC abort, pass end) and data-TLB
+    refills, each run well past the 256-execution fusion threshold
+    (or fused up front where the guest cannot get there)."""
+
+    def test_template_table_covers_every_fusable_opcode(self):
+        assert STRAIGHT_LINE | _CONDITIONAL | {Op.JMP} <= set(_TEMPLATES)
+
+    def test_every_straight_line_opcode(self):
+        cache = _differential(EVERY_OPCODE, [(0x10000, 4096, RW)])
+        assert STRAIGHT_LINE <= _fused_ops(cache)
+
+    @pytest.mark.parametrize("op", ["div", "mod"])
+    def test_division_by_zero_mid_pass(self, op):
+        _differential(f"""
+    li r1, 0
+    li r4, 1000
+loop:
+    addi r1, r1, 1
+    subi r2, r1, 700
+    {op} r3, r4, r2
+    add r5, r5, r3
+    cmpi r1, 1000
+    blt loop
+    halt
+""", fault=True)
+
+    def test_divi_by_zero_in_generated_code(self):
+        # A DIVI by zero faults on its first execution, so no guest
+        # loop can fuse one; fuse the self-loop before it first runs.
+        _differential("""
+    li r1, 9
+    jmp loop
+loop:
+    addi r1, r1, 1
+    divi r2, r1, 0
+    jmp loop
+""", fault=True, fuse=lambda vm: vm.pc + 16)
+
+    @pytest.mark.parametrize("access", [
+        "ld r4, [r8+0]", "ldb r4, [r8+2]", "st r1, [r8+0]", "stb r1, [r8+3]",
+    ])
+    def test_unmapped_access_mid_pass(self, access):
+        # The cursor walks off the end of its region after 1024 passes.
+        _differential(f"""
+    li r1, 0
+    li r8, 0x10000
+loop:
+    addi r1, r1, 1
+    {access}
+    addi r8, r8, 4
+    add r5, r5, r4
+    cmpi r1, 5000
+    blt loop
+    halt
+""", [(0x10000, 4096, RW)], fault=True)
+
+    def test_store_into_read_only_region_mid_pass(self):
+        _differential("""
+    li r1, 0
+    li r8, 0x10000
+loop:
+    addi r1, r1, 1
+    st r1, [r8+0]
+    addi r8, r8, 4
+    cmpi r1, 5000
+    blt loop
+    halt
+""", [(0x10000, 4096, RW), (0x11000, 4096, PROT_READ)], fault=True)
+
+    def test_push_stack_overflow(self):
+        _differential("""
+    li r1, 0
+    li r15, 0x11000
+loop:
+    addi r1, r1, 1
+    push r1
+    add r5, r5, r1
+    cmpi r1, 5000
+    blt loop
+    halt
+""", [(0x10000, 4096, RW)], fault=True)
+
+    def test_pop_stack_underflow(self):
+        _differential("""
+    li r1, 0
+    li r15, 0x10000
+loop:
+    addi r1, r1, 1
+    pop r4
+    add r5, r5, r4
+    cmpi r1, 5000
+    blt loop
+    halt
+""", [(0x10000, 4096, RW)], fault=True)
+
+    def test_rdtsc_mid_pass_past_32_bits(self):
+        # 10^10 cycles: the high word moves while the loop runs.
+        _differential("""
+    li r1, 0
+loop:
+    addi r1, r1, 1
+    rdtsc r4
+    rdtsch r6
+    cpuwork 10000000
+    add r5, r5, r4
+    add r7, r7, r6
+    cmpi r1, 1000
+    blt loop
+    halt
+""")
+
+    def test_data_tlb_switches_regions(self):
+        # Every pass touches three regions, and the walking cursor
+        # crosses from one region into the next mid-run.
+        _differential("""
+    li r1, 0
+    li r8, 0x10000
+    li r9, 0x20000
+loop:
+    addi r1, r1, 1
+    st r1, [r8+0]
+    ld r4, [r9+0]
+    add r4, r4, r1
+    st r4, [r9+0]
+    ldb r6, [r8+0]
+    ld r7, [r8+0]
+    add r5, r5, r6
+    add r5, r5, r7
+    addi r8, r8, 4
+    cmpi r1, 2000
+    blt loop
+    halt
+""", [(0x10000, 4096, RW), (0x11000, 4096, RW), (0x20000, 64, RW)])
+
+    @pytest.mark.parametrize("branch, compare, taken_stays", [
+        ("beq", "cmpi r3, 0", True),
+        ("bne", "cmpi r1, 600", True),
+        ("blt", "cmpi r1, 600", True),
+        ("bge", "cmpi r6, 1", True),
+        ("ble", "cmpi r1, 599", True),
+        ("bgt", "cmp r6, r0", True),
+        ("beq", "cmpi r1, 600", False),
+        ("bne", "cmpi r3, 0", False),
+        ("blt", "cmpi r6, 1", False),
+        ("ble", "cmp r6, r0", False),
+        ("bge", "cmpi r1, 600", False),
+        ("bgt", "cmpi r1, 599", False),
+    ])
+    def test_off_cycle_exit(self, branch, compare, taken_stays):
+        # A two-block cycle whose head's branch stays in the cycle for
+        # 599 passes and leaves it mid-pass on the 600th.
+        # r3 = r1 / 600 and r6 = 600 - r1 give the compares something
+        # to flip on.
+        head = f"""
+    li r1, 0
+    jmp loop
+loop:
+    addi r1, r1, 1
+    divi r3, r1, 600
+    li r6, 600
+    sub r6, r6, r1
+    {compare}
+"""
+        tail = """
+    addi r2, r2, 3
+    jmp loop
+"""
+        if taken_stays:
+            source = head + f"    {branch} stay\n    halt\nstay:" + tail
+        else:
+            source = head + f"    {branch} out\n" + tail + "out:\n    halt\n"
+        cache = _differential(source)
+        assert OPCODE_INFO[Op[branch.upper()]].is_conditional
+        assert Op[branch.upper()] in _fused_ops(cache)
+
+    @pytest.mark.parametrize("store", ["st", "stb"])
+    def test_smc_store_into_the_span(self, store):
+        # Every pass stores 5 through r9, which points into a data
+        # region for 399 passes and then at the immediate of the
+        # loop's own `addi r2, r2, 3`: the store lands mid-pass in the
+        # fused span, and the rest of the run adds 5 instead of 3.
+        cache = _differential(f"""
+    li r1, 0
+    li r11, 0x10000
+    li r12, bump
+    addi r12, r12, 4
+    sub r12, r12, r11
+    jmp loop
+loop:
+    addi r1, r1, 1
+    divi r3, r1, 400
+    mul r9, r3, r12
+    add r9, r9, r11
+    li r10, 5
+    {store} r10, [r9+0]
+bump:
+    addi r2, r2, 3
+    cmpi r1, 799
+    blt loop
+    halt
+""", [(0x10000, 4096, RW)])
+        assert cache.invalidations >= 1
 
 
 class TestPreemptionOnChainBoundaries:

@@ -67,7 +67,7 @@ class TestBinding:
         assert a.compiles > 0 and a.shared == 0
         assert b.compiles == 0 and b.shared == a.compiles
         assert b.superblocks_fused == a.superblocks_fused >= 1
-        assert b._blocks[0x1008].sb.thunks is a._blocks[0x1008].sb.thunks
+        assert b._blocks[0x1008].sb.run is a._blocks[0x1008].sb.run
 
     def test_different_bytes_at_one_entry_are_separate_variants(self):
         translations = TranslationCache()
@@ -201,8 +201,11 @@ target:
 class TestCapacity:
     def test_flush_keeps_results_and_bound(self, monkeypatch):
         # Each program holds 8 instructions of blocks plus a fused
-        # superblock pass of 126, so every second program flushes.
-        monkeypatch.setattr(TranslationCache, "CAPACITY", 200)
+        # superblock pass of 3 (one pass is one trip round the cycle),
+        # so with room for 16 the cache flushes every program or two,
+        # sometimes when a block is published and sometimes when a
+        # superblock is.
+        monkeypatch.setattr(TranslationCache, "CAPACITY", 16)
         translations = TranslationCache()
         codes = []
         for limit in range(300, 700, 50):
@@ -213,7 +216,7 @@ class TestCapacity:
             vm = _vm(code, translations)
             assert _outcome(vm) == _outcome(_vm(code, engine="interp"))
             assert vm._block_cache.superblocks_fused >= 1
-            assert len(translations) <= 200
+            assert len(translations) <= 16
 
     def test_rewritten_entry_keeps_few_variants(self):
         # Every pass rewrites the immediate of the block at 0x1030, so

@@ -311,3 +311,89 @@ child:
             for task in multi.scheduler.tasks.values()
         )
         assert kernel.metrics.get("sched.zombies_reaped") >= 1
+
+
+class TestEngineMetrics:
+    """``engine.instructions_retired`` and ``engine.syscalls`` count
+    each instruction and trap once, however the processes that ran
+    them were forked or exec'd: a child inherits its parent's counters
+    as architectural state, not as work of its own."""
+
+    FORK_EXEC = """
+    call sys_fork
+    cmpi r0, 0
+    beq child
+    li r1, 0xFFFFFFFF
+    li r2, 0
+    li r3, 0
+    li r4, 0
+    call sys_wait4
+    li r1, 0
+    call sys_exit
+child:
+    li r1, path
+    li r2, 0
+    li r3, 0
+    call sys_execve
+    li r1, 1
+    call sys_exit
+"""
+    PATH_DATA = """
+.section .rodata
+path:
+    .asciz "/bin/five"
+"""
+
+    def _stepped(self, monkeypatch, run):
+        """Instructions the interpreter steps and traps it takes while
+        ``run(Kernel(engine="interp"))`` executes."""
+        from repro.cpu import VM
+
+        counts = {"steps": 0, "traps": 0}
+        step, trap = VM.step, Kernel.handle_trap
+
+        def counting_step(vm):
+            counts["steps"] += 1
+            return step(vm)
+
+        def counting_trap(kernel, vm, authenticated):
+            counts["traps"] += 1
+            return trap(kernel, vm, authenticated)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(VM, "step", counting_step)
+            patch.setattr(Kernel, "handle_trap", counting_trap)
+            run(Kernel(engine="interp"))
+        return counts["steps"], counts["traps"]
+
+    @pytest.mark.parametrize("engine", ["interp", "threaded"])
+    def test_forked_server_counts_each_instruction_once(self, engine, monkeypatch):
+        def run(kernel):
+            multi = kernel.run_many(
+                [build_server(workers=4, requests=16)], timeslice=500
+            )
+            assert multi.results[0].exit_status == 0
+            return kernel
+
+        steps, traps = self._stepped(monkeypatch, run)
+        kernel = run(Kernel(engine=engine))
+        assert kernel.metrics.get("engine.instructions_retired") == steps
+        assert kernel.metrics.get("engine.syscalls") == traps
+
+    @pytest.mark.parametrize("engine", ["interp", "threaded"])
+    def test_exec_in_forked_child_counts_each_instruction_once(
+        self, engine, monkeypatch
+    ):
+        def run(kernel):
+            TestSpawnExec()._install_child(kernel)
+            multi = run_sched_guest(
+                kernel, self.FORK_EXEC, ["fork", "wait4", "execve"],
+                data=self.PATH_DATA,
+            )
+            assert multi.results[0].exit_status == 0
+            return kernel
+
+        steps, traps = self._stepped(monkeypatch, run)
+        kernel = run(Kernel(engine=engine))
+        assert kernel.metrics.get("engine.instructions_retired") == steps
+        assert kernel.metrics.get("engine.syscalls") == traps

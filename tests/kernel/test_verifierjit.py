@@ -220,7 +220,7 @@ class TestGuardInvalidation:
         site, result = generic[0]
         assert site == open_site
         assert result.cache_hits == 1 and result.cache_misses == 0
-        assert result.cycles == thunk.cycles
+        assert result.cycles == thunk.result.cycles
         assert kernel.audit.fastpath.hits == hits_before + 1
         recompiled = verifier.thunk_at(open_site)
         assert recompiled is not None and recompiled is not thunk
