@@ -1,17 +1,30 @@
 """Threaded-code execution engine: a basic-block translation cache.
 
-On first entry to a block the engine decodes the straight-line run of
-instructions up to the next control transfer, trap, or ``HALT`` and
-compiles it into a :class:`Translation`: a tuple of pre-bound thunks,
-one closure per instruction with register indices, immediates, and
-cycle-accounting corrections baked in at compile time.  A thunk is
-called as ``thunk(vm, regs)`` and reaches every piece of per-process
-state through those two arguments (the data TLB and the code page
-index are attributes of the VM), so a translation is a pure function
-of its entry PC and the code bytes it decoded.  Subsequent executions
-of the block pay one dictionary probe, one guard comparison, and one
-batched cycle/instruction update instead of per-instruction fetch,
-decode, and dispatch.
+One table, ``_TEMPLATES``, states what every opcode does: a few lines
+of Python source per opcode over named fields (its register operands,
+immediate, PCs, the flags, and the corrections an exit applies).  The
+engine renders that table two ways, so the two execution tiers below
+cannot drift apart:
+
+- **Cold blocks: closures.**  At import, one ``exec`` turns each entry
+  into a closure factory.  On first entry to a block the engine decodes
+  the straight-line run of instructions up to the next control
+  transfer, trap, or ``HALT`` and compiles it into a
+  :class:`Translation`: a tuple of thunks, one factory call per
+  instruction with register indices, immediates, PCs and cycle
+  corrections bound as closure variables.  Nothing is compiled per
+  block.  A thunk is called as ``thunk(vm, regs)`` and reaches every
+  piece of per-process state through those two arguments (the data
+  TLB and the code page index are attributes of the VM), so a
+  translation is a pure function of its entry PC and the code bytes it
+  decoded.  Later executions of the block pay one dictionary probe,
+  one guard comparison, and one batched cycle/instruction update
+  instead of per-instruction fetch, decode, and dispatch.
+- **Hot cycles: generated functions.**  A hot cycle of blocks is
+  fused into a superblock whose whole pass is one function generated
+  from the same templates (see below).  ``compile()`` of one block's
+  source costs about 0.2 ms, some five times what translating the
+  block into closures costs, so only cycles that proved hot pay it.
 
 **Shared translations.**  Translations live in one bounded,
 content-addressed :class:`TranslationCache` per kernel; each process's
@@ -41,9 +54,9 @@ both always on:
 - **Generated superblocks.**  When a chain closes a hot cycle (a
   block's execution count crosses a multiple of ``_HOT_MASK + 1``),
   the member blocks are fused: one merged version-guard vector,
-  checked once at entry, and one Python function generated from the
-  per-opcode source templates in ``_TEMPLATES`` and ``exec``'d once.
-  Only integers — register indices, immediates, PCs, cycle
+  checked once at entry, and one Python function generated from
+  ``_TEMPLATES`` and ``exec``'d once per cycle (a cycle entered at
+  another member reuses the rotation already compiled).  Only integers — register indices, immediates, PCs, cycle
   corrections — are formatted into the text, never guest bytes.  The
   function ``run(vm, regs, budget)`` loops over passes of one trip
   round the cycle (no unrolling, which keeps compile time near a
@@ -55,7 +68,7 @@ both always on:
   accounting back by pre-computed corrections, so every observable
   value (``RDTSC``, fault PCs and messages, preemption points)
   matches the interpreter.  Compile time is charged to the
-  ``block-chain`` span.  Cold blocks keep their closures.
+  ``block-chain`` span.
 
 The invalidation invariant that makes chaining sound: **a chained or
 fused entry never re-validates its target's guards, so any write that
@@ -113,20 +126,22 @@ all be indistinguishable.  The pieces that make that work:
   produces.  Chain-following re-enters ``lookup`` for unlinked exits,
   so deferred faults fire identically under chaining.
 
-Loads and stores go through a one-entry data-region cache (a tiny data
-TLB, ``vm._dregion``): a hit performs the access directly against the
+Loads and stores go through a one-entry data TLB, ``vm._dtlb``: the
+region of the last slow-path access with its start, bytes and readable
+and writable lengths.  A hit performs the access directly against the
 region bytearray (bumping ``Region.version`` on writes, exactly like
 ``Memory.write``); any miss — wrong region, out of bounds, protection
 — falls back to the canonical :class:`~repro.cpu.memory.Memory` path
 so every fault is produced by the same code that produces it under the
-interpreter.
+interpreter.  Only syscalls change a region's size or protection, so
+every trap empties the TLB, as does :meth:`~repro.cpu.vm.VM.protect`.
 """
 
 from __future__ import annotations
 
 import re
-from struct import Struct, pack_into, unpack_from
-from typing import TYPE_CHECKING, Callable, Optional
+from struct import Struct
+from typing import TYPE_CHECKING, Optional
 
 from repro.cpu.memory import (
     MemoryFault,
@@ -136,7 +151,7 @@ from repro.cpu.memory import (
     PROT_WRITE,
     Region,
 )
-from repro.cpu.vm import ExecutionFault
+from repro.cpu.vm import _NO_TLB, ExecutionFault
 from repro.isa.encoding import INSTRUCTION_SIZE, EncodingError, decode_fields
 from repro.isa.opcodes import OPCODE_INFO, Op
 
@@ -144,8 +159,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.cpu.vm import VM
 
 _MASK = 0xFFFFFFFF
-_SIGN = 0x8000_0000
-_WRAP = 0x1_0000_0000
+_CONDITIONAL = frozenset(
+    (Op.BEQ, Op.BNE, Op.BLT, Op.BGE, Op.BLE, Op.BGT)
+)
 
 #: Maximum instructions per block.  Blocks are straight-line, so this
 #: only bounds pathological NOP sleds; real blocks end at a branch.
@@ -326,20 +342,6 @@ class TranslationCache:
             self._fused.clear()
             self._insns = 0
         self._insns += insns
-
-
-def _signed(value: int) -> int:
-    return value - _WRAP if value & _SIGN else value
-
-
-def _pre_store(vm: "VM", address: int, size: int) -> None:
-    """Pre-image invalidation: drop this process's translations a store
-    overlaps (severing their chain links) before the bytes change."""
-    index = vm._code_pages
-    if (address >> PAGE_SHIFT) in index or (
-        (address + size - 1) >> PAGE_SHIFT
-    ) in index:
-        vm._block_cache.note_write(address, size)
 
 
 class BlockCache:
@@ -675,8 +677,10 @@ class BlockCache:
 
     def _maybe_fuse(self, head: Block) -> None:
         """If the chain out of ``head`` closes a cycle back to it,
-        fuse the member blocks into a superblock.  Called every
-        ``_HOT_MASK + 1`` executions of a fusable, unfused block."""
+        fuse the member blocks into a superblock, once per process and
+        compiled once per kernel whichever member gets hot first.
+        Called every ``_HOT_MASK + 1`` executions of a fusable, unfused
+        block."""
         path = [head]
         seen = {id(head)}
         insns = head.count
@@ -704,6 +708,22 @@ class BlockCache:
             path.append(nxt)
             insns += nxt.count
             block = nxt
+        # One function per cycle, whichever member got hot: a member
+        # heading this very cycle means it is fused already, and a
+        # rotation the kernel has compiled is reused when its head is
+        # free (members may head superblocks of other cycles).
+        for block in path:
+            if block.sb is not None and {
+                id(member) for member in block.sb.blocks
+            } == seen:
+                return
+        members = tuple(block.translation for block in path)
+        for i in range(1, len(path)):
+            if path[i].sb is None and self.translations.fused(
+                members[i:] + members[:i]
+            ) is not None:
+                path = path[i:] + path[:i]
+                break
         recorder = self.vm.recorder
         if not recorder.enabled:
             self._fuse(path)
@@ -810,23 +830,20 @@ def _translate(memory, nx: bool, entry: int):
             total += imm
         prefix.append(total)
 
-    thunks: list[Callable] = []
-    stop = False
+    thunks = []
     for i, (ipc, op, regs, imm) in enumerate(fetched):
-        thunk = _make_thunk(
-            ipc, op, regs, imm,
-            cyc_corr=total - prefix[i],
-            icnt_corr=count - (i + 1),
-            consumed=i + 1,
-            # Per-block SMC window: the not-yet-executed remainder
-            # [next pc, block end).  Empty for the terminator.
-            smc_lo=ipc + INSTRUCTION_SIZE,
-            smc_hi=end,
-        )
-        if thunk is not None:
-            thunks.append(thunk)
-        if op is Op.HALT:
-            stop = True
+        make = _COLD[op]
+        if make is None:
+            continue  # NOP, CPUWORK: all in the batched cycle total
+        # Per-block SMC window: the not-yet-executed remainder
+        # [next pc, block end); (0, 0), which no store hits, for the
+        # last instruction.
+        nxt = ipc + INSTRUCTION_SIZE
+        lo, hi = (nxt, end) if nxt < end else (0, 0)
+        thunks.append(make(
+            ipc, (imm or 0) & _MASK, total - prefix[i], count - (i + 1),
+            i + 1, lo, hi, *regs,
+        ))
 
     # Static successor PCs for direct chaining, and superblock
     # eligibility.  Dynamic exits (JR/CALLR/RET) and stops get the
@@ -849,39 +866,53 @@ def _translate(memory, nx: bool, entry: int):
         elif top is Op.SYS or top is Op.ASYS:
             s1_pc = tnxt
     else:
-        # Truncated block: fall through to the next PC; the next
-        # dispatch re-enters the cache (or raises the deferred
-        # fetch fault).
-        def fallthrough(vm, regs, _nxt=end):
-            vm.pc = _nxt
-
-        thunks.append(fallthrough)
+        # Truncated block: a jump to the next PC; the next dispatch
+        # re-enters the cache (or raises the deferred fetch fault).
+        thunks.append(_COLD[Op.JMP](end, end, 0, 0, count, 0, 0))
         s1_pc = end
 
     translation = Translation(
-        entry, b"".join(raws), count, total, tuple(thunks), stop,
+        entry, b"".join(raws), count, total, tuple(thunks),
+        terminated and fetched[-1][1] is Op.HALT,
         tuple(fetched), s1_pc, s2_pc, fusable,
     )
     return translation, guards, not truncated and len(guards) == 1
 
 
-# -- superblock code generation ------------------------------------------
+# -- the opcode table ----------------------------------------------------
 
-# Source templates of the generated superblock tier, one per opcode a
-# fusable block can contain.  Registers are the locals ``r0``..``r15``
-# and the flags ``fz``/``fn``; ``{0}``..``{2}`` are the instruction's
-# register fields in encoding order.  Every other field is an integer
-# fixed at compile time: ``imm`` (masked to 32 bits), ``pc``, ``nxt``
-# (the next PC), ``lo``/``hi`` (the fused span, the SMC window) and the
-# exit corrections ``k`` (cycles charged past this instruction in the
-# pass) and ``r`` (instructions of the pass after it).  An exit rolls
-# the pass's batched accounting back by those corrections, sets ``pc``
-# and leaves the pass loop; the epilogue writes every local back.
+# One source template per opcode: the engine's only statement of what
+# an instruction does.  Each is rendered two ways — inline into a
+# superblock's generated pass loop, and into a closure factory for cold
+# blocks — by formatting these fields:
+#
+# ``{0}``..``{2}``  the register operands in encoding order; ``{sp}``
+#                   the stack pointer
+# ``{fz}``/``{fn}`` the zero and negative flags; ``{cycles}`` the cycle
+#                   counter, the block's (or pass's) batch already added
+# ``{imm}``         the immediate, masked to 32 bits; ``{pc}``/``{nxt}``
+#                   this and the next instruction's address
+# ``{k}``/``{r}``   the exit corrections: cycles charged past this
+#                   instruction and instructions counted after it
+# ``{lo}``/``{hi}`` the self-modification window; a store into it ends
+#                   the block or pass with ``{abort}``
+# ``{fault}``       ends the instruction with the interpreter's
+#                   ``ExecutionFault`` (message ``msg``, cause ``err``)
+# ``{pages}``/``{note_write}``  the process's code-page index and its
+#                   pre-image invalidation hook
+#
+# Everything else is plain Python over the arguments ``vm``/``regs``
+# and the data-TLB locals ``dreg, d_start, d_data, d_r, d_w``.  The
+# entries of conditional branches and ``JMP`` are the expression that is
+# true when the branch is taken.  The block-only terminators (indirect
+# jumps, calls, returns, traps, ``HALT``) never fuse and set ``vm.pc``
+# themselves.
 
-_EXIT = "cycles -= {k}; budget += {r}; pc = {off}; break"
-_FAULT = "cycles -= {k}; budget += {r}; pc = {pc}; abort = %s; break"
 #: Data-TLB refill after a canonical access succeeded.
-_REFILL = "    dreg, d_start, d_data, d_r, d_w = _tlb(memory.region_at(a))\n"
+_REFILL = (
+    "    vm._dtlb = dreg, d_start, d_data, d_r, d_w = "
+    "_tlb(vm.memory.region_at(a))\n"
+)
 
 
 def _bound(size: int) -> str:
@@ -898,8 +929,8 @@ def _load(size: int, fast: str, slow: str, prefix: str = "") -> str:
         f"if 0 <= o < d_r{_bound(size)}:\n"
         f"    v = {fast}\n"
         "else:\n"
-        f"    try: v = memory.{slow}(a)\n"
-        f"    except MemoryFault as err: {_FAULT % f'({prefix}str(err), err)'}\n"
+        f"    try: v = vm.memory.{slow}(a)\n"
+        f"    except MemoryFault as err: msg = {prefix}str(err); {{fault}}\n"
         + _REFILL
     )
 
@@ -907,95 +938,118 @@ def _load(size: int, fast: str, slow: str, prefix: str = "") -> str:
 def _store(size: int, fast: str, slow: str, prefix: str = "") -> str:
     """Store ``v`` at ``a``: pre-image invalidation of this process's
     code on the stored pages, the data-TLB fast path or the canonical
-    write, then the SMC check against the fused span."""
+    write, then the self-modification check."""
+    touched = f"a >> {PAGE_SHIFT} in {{pages}}"
+    if size > 1:
+        touched += f" or (a + {size - 1}) >> {PAGE_SHIFT} in {{pages}}"
     return (
         "o = a - d_start\n"
         f"if 0 <= o < d_w{_bound(size)}:\n"
-        f"    if a >> {PAGE_SHIFT} in pages"
-        f" or (a + {size - 1}) >> {PAGE_SHIFT} in pages:\n"
-        f"        note_write(a, {size})\n"
+        f"    if {touched}: {{note_write}}(a, {size})\n"
         f"    {fast}\n"
         "    dreg.version += 1\n"
         "else:\n"
-        f"    try: memory.{slow}(a, v)\n"
-        f"    except MemoryFault as err: {_FAULT % f'({prefix}str(err), err)'}\n"
+        f"    try: vm.memory.{slow}(a, v)\n"
+        f"    except MemoryFault as err: msg = {prefix}str(err); {{fault}}\n"
         + _REFILL
-        + f"if a < {{hi}} and a + {size} > {{lo}}:\n"
-        "    cycles -= {k}; budget += {r}; pc = {nxt}; abort = True; break\n"
+        + f"if a < {{hi}} and a + {size} > {{lo}}: {{abort}}\n"
     )
 
 
 def _divide(divisor: str, quotient: str) -> str:
     return (
-        f"if {divisor} == 0: {_FAULT % repr(('division by zero', None))}\n"
-        f"r{{0}} = {quotient}"
+        f"if {divisor} == 0: msg = 'division by zero'; err = None; {{fault}}\n"
+        f"{{0}} = {quotient}"
     )
 
 
-_ADDRESS = "a = (r{1} + {imm}) & 0xFFFFFFFF\n"
+_ADDRESS = "a = ({1} + {imm}) & 0xFFFFFFFF\n"
 _LOAD32 = _load(4, "_unpack(d_data, o)[0]", "read_u32")
 _STORE32 = _store(4, "_pack(d_data, o, v & 0xFFFFFFFF)", "write_u32")
+# The pushed value is read before SP moves, and SP stays moved when the
+# store faults -- both as in the interpreter.
+_PUSH = "{sp} = ({sp} - 4) & 0xFFFFFFFF\na = {sp}\n" + _store(
+    4, "_pack(d_data, o, v & 0xFFFFFFFF)", "write_u32", "'stack overflow: ' + "
+)
+_POP = "a = {sp}\n" + _load(
+    4, "_unpack(d_data, o)[0]", "read_u32", "'stack underflow: ' + "
+) + "{sp} = ({sp} + 4) & 0xFFFFFFFF\n"
+# ``vm.pc`` names the call site while the kernel runs, and the kernel
+# may resize or re-protect regions, so the data TLB is emptied first.
+_TRAP = (
+    "vm.pc = {pc}\n"
+    "vm._dtlb = _NO_TLB\n"
+    "handler = vm.trap_handler\n"
+    "if handler is None: "
+    "raise ExecutionFault({pc}, 'trap with no kernel attached')\n"
+    "vm.syscall_count += 1\n"
+    "vm.cycles += handler.handle_trap(vm, %s)\n"
+    "vm.pc = {nxt}"
+)
 
-#: Statement templates for straight-line opcodes; for a control
-#: transfer, the expression that is true when it is taken.
 _TEMPLATES = {
-    Op.NOP: "",  # NOP and CPUWORK live entirely in the pass's cycle total
+    Op.NOP: "",  # NOP and CPUWORK live entirely in the batched cycle total
     Op.CPUWORK: "",
-    Op.LI: "r{0} = {imm}",
-    Op.MOV: "r{0} = r{1}",
-    Op.ADD: "r{0} = (r{1} + r{2}) & 0xFFFFFFFF",
-    Op.SUB: "r{0} = (r{1} - r{2}) & 0xFFFFFFFF",
-    Op.MUL: "r{0} = (r{1} * r{2}) & 0xFFFFFFFF",
-    Op.DIV: _divide("r{2}", "r{1} // r{2}"),
-    Op.MOD: _divide("r{2}", "r{1} % r{2}"),
-    Op.AND: "r{0} = r{1} & r{2}",
-    Op.OR: "r{0} = r{1} | r{2}",
-    Op.XOR: "r{0} = r{1} ^ r{2}",
-    Op.SHL: "r{0} = (r{1} << (r{2} & 31)) & 0xFFFFFFFF",
-    Op.SHR: "r{0} = r{1} >> (r{2} & 31)",
-    Op.ADDI: "r{0} = (r{1} + {imm}) & 0xFFFFFFFF",
-    Op.SUBI: "r{0} = (r{1} - {imm}) & 0xFFFFFFFF",
-    Op.MULI: "r{0} = (r{1} * {imm}) & 0xFFFFFFFF",
-    Op.DIVI: _divide("{imm}", "r{1} // {imm}"),
-    Op.ANDI: "r{0} = r{1} & {imm}",
-    Op.ORI: "r{0} = r{1} | {imm}",
-    Op.XORI: "r{0} = r{1} ^ {imm}",
-    Op.SHLI: "r{0} = (r{1} << ({imm} & 31)) & 0xFFFFFFFF",
-    Op.SHRI: "r{0} = r{1} >> ({imm} & 31)",
-    Op.LD: _ADDRESS + _LOAD32 + "r{0} = v",
-    Op.LDB: _ADDRESS + _load(1, "d_data[o]", "read_u8") + "r{0} = v",
-    Op.ST: _ADDRESS + "v = r{0}\n" + _STORE32,
-    Op.STB: _ADDRESS + "v = r{0}\n"
+    Op.LI: "{0} = {imm}",
+    Op.MOV: "{0} = {1}",
+    Op.ADD: "{0} = ({1} + {2}) & 0xFFFFFFFF",
+    Op.SUB: "{0} = ({1} - {2}) & 0xFFFFFFFF",
+    Op.MUL: "{0} = ({1} * {2}) & 0xFFFFFFFF",
+    Op.DIV: _divide("{2}", "{1} // {2}"),
+    Op.MOD: _divide("{2}", "{1} % {2}"),
+    Op.AND: "{0} = {1} & {2}",
+    Op.OR: "{0} = {1} | {2}",
+    Op.XOR: "{0} = {1} ^ {2}",
+    Op.SHL: "{0} = ({1} << ({2} & 31)) & 0xFFFFFFFF",
+    Op.SHR: "{0} = {1} >> ({2} & 31)",
+    Op.ADDI: "{0} = ({1} + {imm}) & 0xFFFFFFFF",
+    Op.SUBI: "{0} = ({1} - {imm}) & 0xFFFFFFFF",
+    Op.MULI: "{0} = ({1} * {imm}) & 0xFFFFFFFF",
+    Op.DIVI: _divide("{imm}", "{1} // {imm}"),
+    Op.ANDI: "{0} = {1} & {imm}",
+    Op.ORI: "{0} = {1} | {imm}",
+    Op.XORI: "{0} = {1} ^ {imm}",
+    Op.SHLI: "{0} = ({1} << ({imm} & 31)) & 0xFFFFFFFF",
+    Op.SHRI: "{0} = {1} >> ({imm} & 31)",
+    Op.LD: _ADDRESS + _LOAD32 + "{0} = v",
+    Op.LDB: _ADDRESS + _load(1, "d_data[o]", "read_u8") + "{0} = v",
+    Op.ST: _ADDRESS + "v = {0}\n" + _STORE32,
+    Op.STB: _ADDRESS + "v = {0}\n"
     + _store(1, "d_data[o] = v & 0xFF", "write_u8"),
-    # The pushed value is read before SP moves, and SP stays moved
-    # when the store faults -- both as in the interpreter.
-    Op.PUSH: "v = r{0}\nr15 = (r15 - 4) & 0xFFFFFFFF\na = r15\n"
-    + _store(4, "_pack(d_data, o, v & 0xFFFFFFFF)", "write_u32",
-             "'stack overflow: ' + "),
-    Op.POP: "a = r15\n"
-    + _load(4, "_unpack(d_data, o)[0]", "read_u32", "'stack underflow: ' + ")
-    + "r15 = (r15 + 4) & 0xFFFFFFFF\nr{0} = v",
+    Op.PUSH: "v = {0}\n" + _PUSH,
+    Op.POP: _POP + "{0} = v",
     # Signed order of 32-bit values is unsigned order with bit 31 flipped.
-    Op.CMP: "fz = r{0} == r{1}\nfn = (r{0} ^ 0x80000000) < (r{1} ^ 0x80000000)",
-    Op.CMPI: "fz = r{0} == {imm}\nfn = (r{0} ^ 0x80000000) < ({imm} ^ 0x80000000)",
-    Op.RDTSC: "r{0} = (cycles - {k}) & 0xFFFFFFFF",
-    Op.RDTSCH: "r{0} = ((cycles - {k}) >> 32) & 0xFFFFFFFF",
-    Op.BEQ: "fz",
-    Op.BNE: "not fz",
-    Op.BLT: "fn",
-    Op.BGE: "not fn",
-    Op.BLE: "fn or fz",
-    Op.BGT: "not (fn or fz)",
+    Op.CMP: "x = {0}; y = {1}\n"
+    "{fz} = x == y\n{fn} = (x ^ 0x80000000) < (y ^ 0x80000000)",
+    Op.CMPI: "x = {0}\n"
+    "{fz} = x == {imm}\n{fn} = (x ^ 0x80000000) < ({imm} ^ 0x80000000)",
+    Op.RDTSC: "{0} = ({cycles} - {k}) & 0xFFFFFFFF",
+    Op.RDTSCH: "{0} = (({cycles} - {k}) >> 32) & 0xFFFFFFFF",
+    Op.BEQ: "{fz}",
+    Op.BNE: "not {fz}",
+    Op.BLT: "{fn}",
+    Op.BGE: "not {fn}",
+    Op.BLE: "{fn} or {fz}",
+    Op.BGT: "not ({fn} or {fz})",
     Op.JMP: "True",
+    Op.JR: "vm.pc = {0}",
+    Op.CALL: "v = {nxt}\n" + _PUSH + "vm.pc = {imm}",
+    # The target register is read after the push, like the interpreter.
+    Op.CALLR: "v = {nxt}\n" + _PUSH + "vm.pc = {0}",
+    Op.RET: _POP + "vm.pc = v",
+    Op.SYS: _TRAP % False,
+    Op.ASYS: _TRAP % True,
+    # The interpreter leaves pc at the HALT.
+    Op.HALT: "vm.exit_status = regs[1] & 0xFFFFFFFF\nvm.pc = {pc}",
 }
 
 
 def _tlb(region: Region) -> tuple:
-    """The data-TLB locals of generated code for ``region``: itself,
-    its start and bytes, and its readable and writable lengths (0
-    without the permission).  Protection and size cannot change while
-    a superblock runs: only syscalls change them, and traps are never
-    fused."""
+    """The data-TLB tuple ``vm._dtlb`` for ``region``: itself, its
+    start and bytes, and its readable and writable lengths (0 without
+    the permission).  Protection and size change only in syscalls, and
+    every trap (and :meth:`~repro.cpu.vm.VM.protect`) empties the TLB,
+    so a held tuple is never stale."""
     size = len(region.data)
     return (
         region, region.start, region.data,
@@ -1004,15 +1058,28 @@ def _tlb(region: Region) -> tuple:
     )
 
 
-#: The names the generated functions reach besides their arguments.
+#: The names generated code reaches besides its arguments.
 _GENERATED_GLOBALS = {
     "MemoryFault": MemoryFault,
     "ExecutionFault": ExecutionFault,
     "BlockAbort": BlockAbort,
     "_tlb": _tlb,
+    "_NO_TLB": _NO_TLB,
     "_unpack": Struct("<I").unpack_from,
     "_pack": Struct("<I").pack_into,
 }
+_LOAD_TLB = "dreg, d_start, d_data, d_r, d_w = vm._dtlb"
+
+
+# -- superblock rendering ------------------------------------------------
+
+_EXIT = "cycles -= {k}; budget += {r}; pc = {off}; break"
+#: Superblock values of the table's fields that do not vary per
+#: instruction: registers, flags and cycles are locals of ``run``.
+_PASS_FIELDS = dict(
+    sp="r15", fz="fz", fn="fn", cycles="cycles",
+    pages="pages", note_write="note_write",
+)
 
 
 def _compile_superblock(path: tuple) -> tuple:
@@ -1035,7 +1102,7 @@ def _compile_superblock(path: tuple) -> tuple:
         for pc, op, regs_f, imm in member.code[:-1]:
             steps.append((pc, op, regs_f, imm, None))
         pc, op, regs_f, imm = member.code[-1]
-        taken = _TEMPLATES[op]
+        taken = _TEMPLATES[op].format(**_PASS_FIELDS)
         if op is Op.JMP or member.s1_pc == member.s2_pc:
             leave = None  # control stays in the cycle either way
         elif follow == member.s1_pc:
@@ -1054,18 +1121,24 @@ def _compile_superblock(path: tuple) -> tuple:
     charged = 0
     for j, (pc, op, regs_f, imm, leave) in enumerate(steps):
         charged += costs[j]
-        fields = dict(
-            imm=(imm or 0) & _MASK, pc=pc, nxt=pc + INSTRUCTION_SIZE,
-            lo=lo, hi=hi, k=total - charged, r=count - (j + 1),
-        )
+        k = total - charged
+        r = count - (j + 1)
+        nxt = pc + INSTRUCTION_SIZE
         if op in _CONDITIONAL or op is Op.JMP:
             if leave is not None:
                 body.append(
                     f"if {leave[0]}: "
-                    + _EXIT.format(off=leave[1], **fields) + "\n"
+                    + _EXIT.format(k=k, r=r, off=leave[1]) + "\n"
                 )
             continue
-        text = _TEMPLATES[op].format(*regs_f, **fields)
+        text = _TEMPLATES[op].format(
+            *(f"r{n}" for n in regs_f), **_PASS_FIELDS,
+            imm=(imm or 0) & _MASK, pc=pc, nxt=nxt, lo=lo, hi=hi, k=k, r=r,
+            fault=f"cycles -= {k}; budget += {r}; pc = {pc}; "
+            "abort = (msg, err); break",
+            abort=f"cycles -= {k}; budget += {r}; pc = {nxt}; "
+            "abort = True; break",
+        )
         if text:
             body.append(text.rstrip("\n") + "\n")
     text = "".join(body)
@@ -1074,18 +1147,17 @@ def _compile_superblock(path: tuple) -> tuple:
     written = sorted(
         {int(n) for n in re.findall(r"^\s*r(\d+) = ", text, re.MULTILINE)}
     )
-    flags = "fz" in text or "fn" in text
-    memory = "d_start" in text
     source = ["def run(vm, regs, budget):"]
     source += [f"    r{n} = regs[{n}]" for n in used]
-    if flags:
+    if re.search(r"\bf[zn]\b", text):
         source.append("    fz = vm.flag_zero; fn = vm.flag_neg")
     source.append(f"    cycles = vm.cycles; start = budget; pc = {head.entry}")
     source.append("    abort = None")
-    if memory:
-        source.append("    memory = vm.memory; pages = vm._code_pages")
+    if "d_start" in text:
+        source.append("    " + _LOAD_TLB)
+    if "note_write" in text:
+        source.append("    pages = vm._code_pages")
         source.append("    note_write = vm._block_cache.note_write")
-        source.append("    dreg, d_start, d_data, d_r, d_w = _tlb(vm._dregion)")
     source.append(f"    while budget >= {count}:")
     source.append(f"        cycles += {total}; budget -= {count}")
     source += ["        " + line for line in text.splitlines()]
@@ -1094,8 +1166,6 @@ def _compile_superblock(path: tuple) -> tuple:
         source.append("    vm.flag_zero = fz; vm.flag_neg = fn")
     source.append("    vm.cycles = cycles; vm.pc = pc")
     source.append("    vm.instructions_executed += start - budget")
-    if memory:
-        source.append("    vm._dregion = dreg")
     source += [
         "    if abort is True:",
         "        raise BlockAbort(start - budget)",
@@ -1109,442 +1179,50 @@ def _compile_superblock(path: tuple) -> tuple:
     return count, namespace["run"]
 
 
-# -- thunk factories -----------------------------------------------------
-
-
-def _make_thunk(
-    pc, op, regs_f, imm, cyc_corr, icnt_corr, consumed,
-    smc_lo, smc_hi,
-) -> Optional[Callable]:
-    """Compile one instruction into a pre-bound closure.
-
-    ``[smc_lo, smc_hi)`` is the self-modification window, the
-    block's unexecuted remainder: a store landing in it aborts the
-    running block after the write.  Returns ``None`` for
-    instructions whose entire effect lives in the batched accounting
-    (``NOP``, ``CPUWORK``)."""
-    nxt = pc + INSTRUCTION_SIZE
-
-    def fault(vm, message, cause=None):
-        """Roll the batched accounting back to 'this instruction
-        faulted' and raise, mirroring interpreter state exactly."""
-        vm.cycles -= cyc_corr
-        vm.instructions_executed -= icnt_corr
-        vm.pc = pc
-        raise ExecutionFault(pc, message) from cause
-
-    if smc_lo < smc_hi:
-
-        def post_store(vm, address, size):
-            """Self-modification abort: the store clobbered code
-            this translation would still execute.  Unwind the
-            batched accounting past this instruction and return to
-            the dispatch loop, which re-decodes the new bytes."""
-            if address < smc_hi and address + size > smc_lo:
-                vm.cycles -= cyc_corr
-                vm.instructions_executed -= icnt_corr
-                vm.pc = nxt
-                raise BlockAbort(consumed)
-
-    else:  # empty window (a terminator's own store can't SMC-abort)
-
-        def post_store(vm, address, size):
-            return
-
-    def read_u32(vm, address, message_prefix=""):
-        region = vm._dregion
-        offset = address - region.start
-        if 0 <= offset and offset + 4 <= len(region.data) and region.prot & 1:
-            return unpack_from("<I", region.data, offset)[0]
-        try:
-            value = vm.memory.read_u32(address)
-        except MemoryFault as err:
-            fault(vm, message_prefix + str(err), err)
-        vm._dregion = vm.memory.region_at(address)
-        return value
-
-    def write_u32(vm, address, value, message_prefix=""):
-        region = vm._dregion
-        offset = address - region.start
-        if 0 <= offset and offset + 4 <= len(region.data) and region.prot & 2:
-            _pre_store(vm, address, 4)
-            pack_into("<I", region.data, offset, value & _MASK)
-            region.version += 1
-        else:
-            # The canonical path notifies the block cache's region
-            # watcher before mutating, so invalidation ordering is
-            # identical to the fast path.
-            try:
-                vm.memory.write_u32(address, value)
-            except MemoryFault as err:
-                fault(vm, message_prefix + str(err), err)
-            vm._dregion = vm.memory.region_at(address)
-        post_store(vm, address, 4)
-
-    # -- straight-line operations ---------------------------------
-
-    if op is Op.NOP or op is Op.CPUWORK:
-        return None  # effect folded into the batched cycle total
-
-    if op is Op.LI:
-        d = regs_f[0]
-        value = imm & _MASK
-
-        def thunk(vm, regs):
-            regs[d] = value
-
-    elif op is Op.MOV:
-        d, s = regs_f
-
-        def thunk(vm, regs):
-            regs[d] = regs[s]
-
-    elif op is Op.ADD:
-        d, a, b = regs_f
-
-        def thunk(vm, regs):
-            regs[d] = (regs[a] + regs[b]) & _MASK
-
-    elif op is Op.SUB:
-        d, a, b = regs_f
-
-        def thunk(vm, regs):
-            regs[d] = (regs[a] - regs[b]) & _MASK
-
-    elif op is Op.MUL:
-        d, a, b = regs_f
-
-        def thunk(vm, regs):
-            regs[d] = (regs[a] * regs[b]) & _MASK
-
-    elif op is Op.DIV or op is Op.MOD:
-        d, a, b = regs_f
-        is_div = op is Op.DIV
-
-        def thunk(vm, regs):
-            divisor = regs[b]
-            if divisor == 0:
-                fault(vm, "division by zero")
-            regs[d] = (
-                regs[a] // divisor if is_div else regs[a] % divisor
-            ) & _MASK
-
-    elif op is Op.AND:
-        d, a, b = regs_f
-
-        def thunk(vm, regs):
-            regs[d] = regs[a] & regs[b]
-
-    elif op is Op.OR:
-        d, a, b = regs_f
-
-        def thunk(vm, regs):
-            regs[d] = regs[a] | regs[b]
-
-    elif op is Op.XOR:
-        d, a, b = regs_f
-
-        def thunk(vm, regs):
-            regs[d] = regs[a] ^ regs[b]
-
-    elif op is Op.SHL:
-        d, a, b = regs_f
-
-        def thunk(vm, regs):
-            regs[d] = (regs[a] << (regs[b] & 31)) & _MASK
-
-    elif op is Op.SHR:
-        d, a, b = regs_f
-
-        def thunk(vm, regs):
-            regs[d] = regs[a] >> (regs[b] & 31)
-
-    elif op is Op.ADDI:
-        d, a = regs_f
-        value = imm & _MASK
-
-        def thunk(vm, regs):
-            regs[d] = (regs[a] + value) & _MASK
-
-    elif op is Op.SUBI:
-        d, a = regs_f
-        value = imm & _MASK
-
-        def thunk(vm, regs):
-            regs[d] = (regs[a] - value) & _MASK
-
-    elif op is Op.MULI:
-        d, a = regs_f
-        value = imm & _MASK
-
-        def thunk(vm, regs):
-            regs[d] = (regs[a] * value) & _MASK
-
-    elif op is Op.DIVI:
-        d, a = regs_f
-        value = imm & _MASK
-        if value == 0:
-
-            def thunk(vm, regs):
-                fault(vm, "division by zero")
-
-        else:
-
-            def thunk(vm, regs):
-                regs[d] = (regs[a] // value) & _MASK
-
-    elif op is Op.ANDI:
-        d, a = regs_f
-        value = imm & _MASK
-
-        def thunk(vm, regs):
-            regs[d] = regs[a] & value
-
-    elif op is Op.ORI:
-        d, a = regs_f
-        value = imm & _MASK
-
-        def thunk(vm, regs):
-            regs[d] = regs[a] | value
-
-    elif op is Op.XORI:
-        d, a = regs_f
-        value = imm & _MASK
-
-        def thunk(vm, regs):
-            regs[d] = regs[a] ^ value
-
-    elif op is Op.SHLI:
-        d, a = regs_f
-        shift = imm & 31
-
-        def thunk(vm, regs):
-            regs[d] = (regs[a] << shift) & _MASK
-
-    elif op is Op.SHRI:
-        d, a = regs_f
-        shift = imm & 31
-
-        def thunk(vm, regs):
-            regs[d] = regs[a] >> shift
-
-    elif op is Op.LD:
-        d, base = regs_f
-        disp = imm
-
-        def thunk(vm, regs):
-            # Data-TLB fast path inlined (no nested call on hit).
-            address = (regs[base] + disp) & _MASK
-            region = vm._dregion
-            offset = address - region.start
-            if 0 <= offset and offset + 4 <= len(region.data) and region.prot & 1:
-                regs[d] = unpack_from("<I", region.data, offset)[0]
-            else:
-                regs[d] = read_u32(vm, address)
-
-    elif op is Op.ST:
-        s, base = regs_f
-        disp = imm
-
-        def thunk(vm, regs):
-            address = (regs[base] + disp) & _MASK
-            region = vm._dregion
-            offset = address - region.start
-            if 0 <= offset and offset + 4 <= len(region.data) and region.prot & 2:
-                _pre_store(vm, address, 4)
-                pack_into("<I", region.data, offset, regs[s] & _MASK)
-                region.version += 1
-                post_store(vm, address, 4)
-            else:
-                write_u32(vm, address, regs[s])
-
-    elif op is Op.LDB:
-        d, base = regs_f
-        disp = imm
-
-        def thunk(vm, regs):
-            address = (regs[base] + disp) & _MASK
-            region = vm._dregion
-            offset = address - region.start
-            if 0 <= offset < len(region.data) and region.prot & 1:
-                regs[d] = region.data[offset]
-                return
-            try:
-                value = vm.memory.read_u8(address)
-            except MemoryFault as err:
-                fault(vm, str(err), err)
-            vm._dregion = vm.memory.region_at(address)
-            regs[d] = value
-
-    elif op is Op.STB:
-        s, base = regs_f
-        disp = imm
-
-        def thunk(vm, regs):
-            address = (regs[base] + disp) & _MASK
-            region = vm._dregion
-            offset = address - region.start
-            if 0 <= offset < len(region.data) and region.prot & 2:
-                _pre_store(vm, address, 1)
-                region.data[offset] = regs[s] & 0xFF
-                region.version += 1
-            else:
-                try:
-                    vm.memory.write_u8(address, regs[s])
-                except MemoryFault as err:
-                    fault(vm, str(err), err)
-                vm._dregion = vm.memory.region_at(address)
-            post_store(vm, address, 1)
-
-    elif op is Op.PUSH:
-        s = regs_f[0]
-
-        def thunk(vm, regs):
-            value = regs[s]
-            sp = (regs[15] - 4) & _MASK
-            regs[15] = sp
-            write_u32(vm, sp, value, "stack overflow: ")
-
-    elif op is Op.POP:
-        d = regs_f[0]
-
-        def thunk(vm, regs):
-            value = read_u32(vm, regs[15], "stack underflow: ")
-            regs[15] = (regs[15] + 4) & _MASK
-            regs[d] = value
-
-    elif op is Op.CMP:
-        a, b = regs_f
-
-        def thunk(vm, regs):
-            x = regs[a]
-            y = regs[b]
-            vm.flag_zero = x == y
-            vm.flag_neg = (x - _WRAP if x & _SIGN else x) < (
-                y - _WRAP if y & _SIGN else y
-            )
-
-    elif op is Op.CMPI:
-        a = regs_f[0]
-        value = imm & _MASK
-        signed_value = _signed(value)
-
-        def thunk(vm, regs):
-            x = regs[a]
-            vm.flag_zero = x == value
-            vm.flag_neg = (x - _WRAP if x & _SIGN else x) < signed_value
-
-    elif op is Op.RDTSC or op is Op.RDTSCH:
-        # The batched cycle total was added at block entry; subtract
-        # the pre-computed suffix so the guest observes exactly the
-        # interpreter's mid-block counter value.
-        d = regs_f[0]
-        high = op is Op.RDTSCH
-
-        def thunk(vm, regs):
-            cycles = vm.cycles - cyc_corr
-            regs[d] = ((cycles >> 32) if high else cycles) & _MASK
-
-    # -- terminators ----------------------------------------------
-
-    elif op in _CONDITIONAL:
-        target = imm & _MASK
-
-        if op is Op.BEQ:
-
-            def thunk(vm, regs):
-                vm.pc = target if vm.flag_zero else nxt
-
-        elif op is Op.BNE:
-
-            def thunk(vm, regs):
-                vm.pc = nxt if vm.flag_zero else target
-
-        elif op is Op.BLT:
-
-            def thunk(vm, regs):
-                vm.pc = target if vm.flag_neg else nxt
-
-        elif op is Op.BGE:
-
-            def thunk(vm, regs):
-                vm.pc = nxt if vm.flag_neg else target
-
-        elif op is Op.BLE:
-
-            def thunk(vm, regs):
-                vm.pc = target if (vm.flag_neg or vm.flag_zero) else nxt
-
-        else:  # BGT
-
-            def thunk(vm, regs):
-                vm.pc = nxt if (vm.flag_neg or vm.flag_zero) else target
-
-    elif op is Op.JMP:
-        target = imm & _MASK
-
-        def thunk(vm, regs):
-            vm.pc = target
-
-    elif op is Op.JR:
-        r = regs_f[0]
-
-        def thunk(vm, regs):
-            vm.pc = regs[r]
-
-    elif op is Op.CALL:
-        target = imm & _MASK
-
-        def thunk(vm, regs):
-            sp = (regs[15] - 4) & _MASK
-            regs[15] = sp
-            write_u32(vm, sp, nxt, "stack overflow: ")
-            vm.pc = target
-
-    elif op is Op.CALLR:
-        r = regs_f[0]
-
-        def thunk(vm, regs):
-            sp = (regs[15] - 4) & _MASK
-            regs[15] = sp
-            write_u32(vm, sp, nxt, "stack overflow: ")
-            vm.pc = regs[r]  # read after the push, like the interpreter
-
-    elif op is Op.RET:
-
-        def thunk(vm, regs):
-            value = read_u32(vm, regs[15], "stack underflow: ")
-            regs[15] = (regs[15] + 4) & _MASK
-            vm.pc = value
-
-    elif op is Op.SYS or op is Op.ASYS:
-        authenticated = op is Op.ASYS
-
-        def thunk(vm, regs):
-            # The kernel reads vm.pc (call site), vm.regs, and
-            # vm.cycles (trap-time clock); all are exact here
-            # because traps always terminate a block.
-            vm.pc = pc
-            handler = vm.trap_handler
-            if handler is None:
-                raise ExecutionFault(pc, "trap with no kernel attached")
-            vm.syscall_count += 1
-            vm.cycles += handler.handle_trap(vm, authenticated)
-            vm.pc = nxt
-
-    elif op is Op.HALT:
-
-        def thunk(vm, regs):
-            vm.exit_status = regs[1] & _MASK
-            vm.pc = pc  # the interpreter leaves pc at the HALT
-
-    else:  # pragma: no cover - opcode table is exhaustive
-        def thunk(vm, regs):
-            fault(vm, f"unimplemented opcode {op!r}")
-
-    return thunk
-
-
-_CONDITIONAL = frozenset(
-    (Op.BEQ, Op.BNE, Op.BLT, Op.BGE, Op.BLE, Op.BGT)
+# -- cold-block rendering ------------------------------------------------
+
+#: Cold values of the table's fields: every per-instruction value is a
+#: closure variable of the factory, and the architectural state is
+#: reached through the thunk's ``vm`` and ``regs``.  An exit rolls the
+#: block's batched accounting back by ``k``/``r`` and raises.
+_COLD_FIELDS = dict(
+    imm="imm", pc="pc", nxt="nxt", lo="lo", hi="hi", k="k", r="r",
+    sp="regs[15]", fz="vm.flag_zero", fn="vm.flag_neg", cycles="vm.cycles",
+    pages="vm._code_pages", note_write="vm._block_cache.note_write",
+    fault="vm.cycles -= k; vm.instructions_executed -= r; vm.pc = pc; "
+    "raise ExecutionFault(pc, msg) from err",
+    abort="vm.cycles -= k; vm.instructions_executed -= r; vm.pc = nxt; "
+    "raise BlockAbort(consumed)",
 )
+
+
+def _cold_factories() -> dict:
+    """Each opcode's closure factory, all built by a single ``exec``:
+    ``make(pc, imm, k, r, consumed, lo, hi, *registers)`` returns the
+    ``thunk(vm, regs)`` of one instruction.  Opcodes whose whole effect
+    is the batched cycle total map to ``None``."""
+    source = []
+    for op, template in _TEMPLATES.items():
+        if op in _CONDITIONAL or op is Op.JMP:
+            template = f"vm.pc = {{imm}} if {template} else {{nxt}}"
+        text = template.format(
+            "regs[x0]", "regs[x1]", "regs[x2]", **_COLD_FIELDS
+        )
+        if not text:
+            continue
+        if "d_start" in text:
+            text = _LOAD_TLB + "\n" + text
+        source.append(
+            f"def make_{op.name}(pc, imm, k, r, consumed, lo, hi,"
+            " x0=0, x1=0, x2=0):\n"
+            f"    nxt = pc + {INSTRUCTION_SIZE}\n"
+            "    def thunk(vm, regs):\n"
+            + "".join(f"        {line}\n" for line in text.splitlines())
+            + "    return thunk\n"
+        )
+    namespace = dict(_GENERATED_GLOBALS)
+    exec(compile("\n".join(source), "<cold thunks>", "exec"), namespace)
+    return {op: namespace.get(f"make_{op.name}") for op in Op}
+
+
+_COLD = _cold_factories()

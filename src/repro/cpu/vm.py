@@ -19,10 +19,12 @@ Two execution engines share the architectural state:
   write-version-gated decode cache), dispatch, one instruction at a
   time.
 - ``threaded`` — a basic-block translation cache
-  (:mod:`repro.cpu.threaded`): straight-line runs are compiled once
-  into lists of pre-bound thunks and re-executed with one dispatch and
-  batched cycle accounting.  VMs given the same ``translations`` store
-  (a kernel's processes) share compiled code by content.
+  (:mod:`repro.cpu.threaded`) over one per-opcode source table,
+  rendered two ways: straight-line runs become tuples of closures,
+  re-executed with one dispatch and batched cycle accounting, and hot
+  cycles of blocks become one generated function per pass.  VMs given
+  the same ``translations`` store (a kernel's processes) share
+  compiled code by content.
 
 Both engines are required to produce bit-identical architectural state
 (registers, flags, memory, cycle counts, syscall counts, fault
@@ -48,8 +50,9 @@ _MASK = 0xFFFFFFFF
 
 ENGINES = ("interp", "threaded")
 
-#: The data TLB's empty state: a region no access can hit.
-_NO_REGION = Region(start=0, data=bytearray(), prot=0)
+#: The threaded engine's data TLB when empty: a ``(region, start,
+#: bytes, readable length, writable length)`` tuple no access can hit.
+_NO_TLB = (None, 0, None, 0, 0)
 
 
 def _signed(value: int) -> int:
@@ -158,18 +161,20 @@ class VM:
         self.translations = translations
         #: Threaded-engine state the shared thunks reach through the VM:
         #: the one-entry data TLB (the region of the last load/store
-        #: slow path) and the block cache's page -> entry PCs index.
-        self._dregion: Region = _NO_REGION
+        #: slow path, see ``threaded._tlb``) and the block cache's
+        #: page -> entry PCs index.
+        self._dtlb: tuple = _NO_TLB
         self._code_pages: dict[int, set] = {}
 
     # -- memory helpers --------------------------------------------------
 
     def protect(self, address: int, prot: int) -> None:
         """Change the protection of the region containing ``address``
-        (``mprotect``).  The data TLB is emptied: a fork-shared region
-        is replaced by a private copy, which the TLB must not outlive."""
+        (``mprotect``).  The data TLB is emptied: it holds the old
+        protection, and a fork-shared region is replaced by a private
+        copy, which the TLB must not outlive."""
         self.memory.protect(address, prot)
-        self._dregion = _NO_REGION
+        self._dtlb = _NO_TLB
 
     def release(self) -> None:
         """Drop the engine's per-process caches when the process ends
@@ -289,6 +294,10 @@ class VM:
             if self.trap_handler is None:
                 raise ExecutionFault(pc, "trap with no kernel attached")
             self.syscall_count += 1
+            # The kernel may resize or re-protect regions (brk,
+            # mprotect): the threaded engine's data TLB must not
+            # outlive the trap.
+            self._dtlb = _NO_TLB
             kernel_cycles = self.trap_handler.handle_trap(self, op == Op.ASYS)
             self.cycles += kernel_cycles
         elif op == Op.RDTSC:

@@ -9,7 +9,7 @@ against it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Mapping, Optional
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -60,14 +60,17 @@ class FastPathStats:
     process exit/exec.  Benchmarks and the audit trail use these to
     report fast-path coverage alongside the timing tables.
 
-    Since the observability layer landed this is a *view* over a
-    :class:`repro.obs.metrics.MetricsRegistry` (the kernel's, so the
-    same numbers appear in ``repro metrics`` dumps under
-    ``fastpath.*``); standalone construction gets a private registry
-    and behaves exactly like the old dataclass.
+    This is a *view* over a :class:`repro.obs.metrics.MetricsRegistry`
+    (the kernel's, so the same numbers appear in ``repro metrics``
+    dumps under ``fastpath.*``) plus the tallies in ``live`` that are
+    not folded into it yet: the kernel counts each trap once, in its
+    process's verifier, and folds the verifier in when the process
+    ends, so reads in the middle of a run stay exact.  Standalone
+    construction gets a private registry and behaves exactly like the
+    old dataclass.
     """
 
-    __slots__ = ("_registry",)
+    __slots__ = ("_registry", "_live")
 
     def __init__(
         self,
@@ -75,8 +78,12 @@ class FastPathStats:
         misses: int = 0,
         invalidations: int = 0,
         registry: Optional[MetricsRegistry] = None,
+        live: Optional[Mapping] = None,
     ):
         self._registry = registry if registry is not None else MetricsRegistry()
+        #: Objects with ``hits``/``misses`` tallies (the kernel's
+        #: per-process verifiers), by any key.
+        self._live = live if live is not None else {}
         if hits:
             self._registry.set("fastpath.hits", hits)
         if misses:
@@ -86,21 +93,24 @@ class FastPathStats:
 
     # -- counter views ---------------------------------------------------
 
+    def _unfolded(self, name: str) -> int:
+        return sum(getattr(tally, name) for tally in self._live.values())
+
     @property
     def hits(self) -> int:
-        return self._registry.get("fastpath.hits")
+        return self._registry.get("fastpath.hits") + self._unfolded("hits")
 
     @hits.setter
     def hits(self, value: int) -> None:
-        self._registry.set("fastpath.hits", value)
+        self._registry.set("fastpath.hits", value - self._unfolded("hits"))
 
     @property
     def misses(self) -> int:
-        return self._registry.get("fastpath.misses")
+        return self._registry.get("fastpath.misses") + self._unfolded("misses")
 
     @misses.setter
     def misses(self, value: int) -> None:
-        self._registry.set("fastpath.misses", value)
+        self._registry.set("fastpath.misses", value - self._unfolded("misses"))
 
     @property
     def invalidations(self) -> int:

@@ -115,7 +115,10 @@ class Kernel:
         #: fast-path stats and the engines' post-run tallies feed.
         self.obs: Recorder = recorder if recorder is not None else NULL_RECORDER
         self.metrics = MetricsRegistry()
-        self.audit = AuditLog(fastpath=FastPathStats(registry=self.metrics))
+        self._verifiers: dict[int, VerifierJit] = {}
+        self.audit = AuditLog(
+            fastpath=FastPathStats(registry=self.metrics, live=self._verifiers)
+        )
         self.capability_tracking = capability_tracking
         self.cycles_per_second = cycles_per_second
         #: No-execute enforcement.  The paper's 2005-era testbed had no
@@ -137,7 +140,6 @@ class Kernel:
         #: of this machine by content (see cpu/threaded.py).
         self._translations = TranslationCache()
         self._checker = AuthChecker(self.mac, self.costs, self.obs)
-        self._verifiers: dict[int, VerifierJit] = {}
         #: Optional syscall tracer (duck-typed: .record(ctx)); used by
         #: the training-based baseline monitors.
         self.tracer = None
@@ -212,11 +214,18 @@ class Kernel:
 
     def _drop_verifier(self, pid: int, task: Optional[Task]) -> None:
         """Tear down a pid's verifier (exit/execve): fold its fast-path
-        tally into the task, if any, and count what it dropped — its
-        verifications never outlive the address space they observed."""
+        tally into the registry (and the recorder, when tracing) and
+        the task, if any, and count what it dropped — its verifications
+        never outlive the address space they observed."""
         verifier = self._verifiers.pop(pid, None)
         if verifier is None:
             return
+        tallies = {
+            "fastpath.hits": verifier.hits,
+            "fastpath.misses": verifier.misses,
+            "verifier.thunk_hits": verifier.thunk_hits,
+        }
+        self._fold({name: value for name, value in tallies.items() if value})
         if task is not None:
             task.fastpath_hits += verifier.hits
             task.fastpath_misses += verifier.misses
@@ -373,6 +382,11 @@ class Kernel:
         }
         if vm._block_cache is not None:
             tallies.update(vm._block_cache.tallies())
+        self._fold(tallies)
+
+    def _fold(self, tallies: dict) -> None:
+        """Add plain-int tallies to the registry (and the recorder, when
+        tracing)."""
         sinks = (self.metrics, self.obs) if self.obs.enabled else (self.metrics,)
         for name, value in tallies.items():
             for sink in sinks:
@@ -439,13 +453,10 @@ class Kernel:
         if traced:
             rec.end()  # syscall-verify
         if verifier is not None:
+            # The one count of this trap; audit.fastpath, the registry,
+            # the recorder and the task all derive from it.
             verifier.hits += result.cache_hits
             verifier.misses += result.cache_misses
-        self.audit.fastpath.hits += result.cache_hits
-        self.audit.fastpath.misses += result.cache_misses
-        if traced:
-            rec.inc("fastpath.hits", result.cache_hits)
-            rec.inc("fastpath.misses", result.cache_misses)
         if result.fd_mask and self.capability_tracking:
             self._check_capability(vm, process, result)
         try:

@@ -203,10 +203,12 @@ class VerifierJit:
         self._thunks: dict[int, SiteThunk] = {}
         self._invalidations: dict[int, int] = {}
         #: This process's fast-path tally (call-MAC checks served
-        #: without a CMAC, and those that paid one).  The kernel adds to
-        #: it once per trap and folds it into the task at teardown.
+        #: without a CMAC, and those that paid one, and the traps a
+        #: thunk served).  The kernel adds to it once per trap and folds
+        #: it into the registry and the task at teardown.
         self.hits = 0
         self.misses = 0
+        self.thunk_hits = 0
 
     def __len__(self) -> int:
         """Compiled thunks (the verified pairs are ``pairs``)."""
@@ -330,12 +332,7 @@ class VerifierJit:
             except MemoryFault:
                 return None  # unwritable polstate; slow path fail-stops
             process.auth_counter = new_counter
-        metrics = self._metrics
-        if metrics is not None:
-            metrics.inc("verifier.thunk_hits")
-        rec = self._recorder
-        if rec.enabled:
-            rec.inc("verifier.thunk_hits")
+        self.thunk_hits += 1
         return thunk.result
 
     # -- compilation -----------------------------------------------------

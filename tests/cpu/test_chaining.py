@@ -20,7 +20,8 @@ from repro.binfmt import link
 from repro.cpu import ExecutionFault, Memory, PROT_EXEC, PROT_READ, PROT_WRITE, VM
 from repro.isa import Instruction, encode_instruction
 from repro.isa.opcodes import OPCODE_INFO, Op
-from repro.cpu.threaded import BlockCache, _CONDITIONAL, _TEMPLATES
+from repro.cpu import threaded
+from repro.cpu.threaded import BlockCache, TranslationCache, _TEMPLATES
 
 
 def _encode(instructions) -> bytes:
@@ -313,13 +314,48 @@ class TestSuperblocks:
         assert not cache._blocks
         assert cache.superblocks_killed == cache.superblocks_fused
 
+    def test_cycle_compiles_once_whichever_member_gets_hot(self, monkeypatch):
+        # One process enters a two-block loop at its top, another at
+        # its bottom, so a different member reaches the heat threshold
+        # first in each.  The second process heads its superblock with
+        # the member the first one's function starts at, and binds it.
+        compiled = []
+        compile_superblock = threaded._compile_superblock
 
-# -- the generated superblock tier ----------------------------------------
+        def spy(path):
+            compiled.append(tuple(t.entry for t in path))
+            return compile_superblock(path)
+
+        monkeypatch.setattr(threaded, "_compile_superblock", spy)
+        translations = TranslationCache()
+        for entry in ("top", "bottom"):
+            vm = _guest(f"""
+    li r1, 0
+    jmp {entry}
+top:
+    addi r1, r1, 1
+    cmpi r1, 3000
+    bge out
+bottom:
+    addi r2, r2, 1
+    jmp top
+out:
+    halt
+""", "threaded")
+            vm._block_cache = BlockCache(vm, translations)
+            vm.run()
+            assert vm._block_cache.superblocks_fused == 1
+        assert len(compiled) == 1
+        top, bottom = compiled[0]
+        assert top < bottom
+
+
+# -- the opcode table, rendered both ways ----------------------------------
 
 RW = PROT_READ | PROT_WRITE
 
 
-def _guest(source: str, engine: str, regions=()) -> VM:
+def _guest(source: str, engine: str, regions=(), trap_handler=None) -> VM:
     """``source`` linked at the default base with every segment mapped
     read/write/execute (so it may patch itself), plus ``regions`` of
     ``(start, size, prot)``."""
@@ -333,7 +369,8 @@ def _guest(source: str, engine: str, regions=()) -> VM:
         )
     for index, (start, size, prot) in enumerate(regions):
         memory.map_region(start, size, prot, name=f"data{index}")
-    return VM(memory=memory, entry=image.entry, engine=engine)
+    return VM(memory=memory, entry=image.entry, engine=engine,
+              trap_handler=trap_handler)
 
 
 def _fused_ops(cache) -> set:
@@ -346,15 +383,17 @@ def _fused_ops(cache) -> set:
     }
 
 
-def _differential(source: str, regions=(), fault: bool = False, fuse=None):
-    """Run ``source`` under both engines and assert bit-identical final
-    state.  ``fuse(vm)`` names the PC of a one-block self-loop to fuse
-    before the threaded run starts.  Returns the threaded VM's block
-    cache."""
+def _differential(tier: str, source: str, regions=(), fault: bool = False,
+                  fuse=None, trap_handler=None):
+    """Run ``source`` under the interpreter and the threaded engine and
+    assert bit-identical final state, and that the threaded run used
+    the ``tier`` it names: no superblock when cold, at least one when
+    hot.  ``fuse(vm)`` names the PC of a one-block self-loop to fuse
+    before a hot run starts.  Returns the threaded VM's block cache."""
     states = {}
     cache = None
     for engine in ("interp", "threaded"):
-        vm = _guest(source, engine, regions)
+        vm = _guest(source, engine, regions, trap_handler)
         if engine == "threaded" and fuse is not None:
             cache = vm._block_cache = BlockCache(vm)
             head = cache.lookup(fuse(vm))
@@ -369,8 +408,42 @@ def _differential(source: str, regions=(), fault: bool = False, fuse=None):
         states[engine] = _state(vm, error)
         cache = vm._block_cache if engine == "threaded" else cache
     assert states["threaded"] == states["interp"]
-    assert cache.superblocks_fused >= 1
+    if tier == "cold":
+        assert cache.superblocks_fused == 0
+    else:
+        assert cache.superblocks_fused >= 1
     return cache
+
+
+#: Passes a cold run makes before its case's event; with the passes
+#: after it, every block runs fewer times than the 256 executions that
+#: make a cycle hot.
+COLD_LEAD = 120
+COLD_PASSES = 200
+
+
+def _both_tiers(source, end: int, event=None, regions=(),
+                fault: bool = False, trap_handler=None) -> dict:
+    """Run one case under both renderings of the opcode table.
+
+    ``source(start, end)`` is a loop whose pass counter ``r1`` runs
+    from ``start`` to ``end``, with any other loop state (cursors,
+    stack pointers) set up as ``start`` passes would leave it; its
+    ``event`` (a fault, an off-cycle exit, a code patch) happens when
+    the counter reaches that value.  The hot run starts at 0, far
+    enough ahead of the event that the loop runs as a superblock by
+    then; the cold run covers a short window round the event, so its
+    blocks stay cold closures.  Returns the threaded block cache per
+    tier."""
+    if event is None:
+        cold = (end - COLD_PASSES, end)
+    else:
+        cold = (event - COLD_LEAD, min(end, event - COLD_LEAD + COLD_PASSES))
+    return {
+        tier: _differential(tier, source(start, stop), regions, fault,
+                            trap_handler=trap_handler)
+        for tier, (start, stop) in (("cold", cold), ("hot", (0, end)))
+    }
 
 
 #: Every opcode a fusable block can hold besides its terminator.
@@ -381,7 +454,7 @@ STRAIGHT_LINE = {
 }
 
 EVERY_OPCODE = """
-    li r1, 0
+    li r1, {start}
     li r8, 0x10000
     li r15, 0x10800
 loop:
@@ -419,6 +492,9 @@ loop:
     push r1
     pop r13
     pop r14
+    push r15
+    pop r2
+    add r12, r12, r2
     cmp r13, r14
     nop
     cpuwork 3
@@ -426,131 +502,149 @@ loop:
     rdtsch r14
     add r12, r12, r13
     add r12, r12, r14
-    cmpi r1, 1000
+    cmpi r1, {end}
     blt loop
     halt
 """
 
 
-class TestGeneratedSuperblocks:
-    """The generated tier against the interpreter: every opcode, every
-    exit (fault, off-cycle branch, SMC abort, pass end) and data-TLB
-    refills, each run well past the 256-execution fusion threshold
-    (or fused up front where the guest cannot get there)."""
+class _ShrinkRegion:
+    """A kernel whose every trap shrinks the first data region to 16
+    bytes in place, as ``brk`` does to the heap."""
 
-    def test_template_table_covers_every_fusable_opcode(self):
-        assert STRAIGHT_LINE | _CONDITIONAL | {Op.JMP} <= set(_TEMPLATES)
+    def handle_trap(self, vm, authenticated):
+        vm.memory.grow_region("data0", 16)
+        return 0
+
+
+class TestGeneratedSuperblocks:
+    """The opcode table against the interpreter in both renderings:
+    every opcode, every exit (fault, off-cycle branch, SMC abort, pass
+    end) and data-TLB refills, each case run as cold closures (below
+    the 256-execution fusion threshold) and as a superblock (well past
+    it, or fused up front where the guest cannot get there)."""
+
+    def test_template_table_covers_every_opcode(self):
+        assert set(_TEMPLATES) == set(Op)
 
     def test_every_straight_line_opcode(self):
-        cache = _differential(EVERY_OPCODE, [(0x10000, 4096, RW)])
-        assert STRAIGHT_LINE <= _fused_ops(cache)
+        caches = _both_tiers(
+            lambda start, end: EVERY_OPCODE.format(start=start, end=end),
+            1000, regions=[(0x10000, 4096, RW)],
+        )
+        assert STRAIGHT_LINE <= _fused_ops(caches["hot"])
 
     @pytest.mark.parametrize("op", ["div", "mod"])
     def test_division_by_zero_mid_pass(self, op):
-        _differential(f"""
-    li r1, 0
+        _both_tiers(lambda start, end: f"""
+    li r1, {start}
     li r4, 1000
 loop:
     addi r1, r1, 1
     subi r2, r1, 700
     {op} r3, r4, r2
     add r5, r5, r3
-    cmpi r1, 1000
+    cmpi r1, {end}
     blt loop
     halt
-""", fault=True)
+""", 1000, event=700, fault=True)
 
     def test_divi_by_zero_in_generated_code(self):
         # A DIVI by zero faults on its first execution, so no guest
-        # loop can fuse one; fuse the self-loop before it first runs.
-        _differential("""
+        # loop can fuse one; the hot run fuses the self-loop before it
+        # first runs.
+        source = """
     li r1, 9
     jmp loop
 loop:
     addi r1, r1, 1
     divi r2, r1, 0
     jmp loop
-""", fault=True, fuse=lambda vm: vm.pc + 16)
+"""
+        _differential("cold", source, fault=True)
+        _differential("hot", source, fault=True, fuse=lambda vm: vm.pc + 16)
 
     @pytest.mark.parametrize("access", [
         "ld r4, [r8+0]", "ldb r4, [r8+2]", "st r1, [r8+0]", "stb r1, [r8+3]",
     ])
     def test_unmapped_access_mid_pass(self, access):
-        # The cursor walks off the end of its region after 1024 passes.
-        _differential(f"""
-    li r1, 0
-    li r8, 0x10000
+        # The cursor walks off the end of its region on pass 1025.
+        _both_tiers(lambda start, end: f"""
+    li r1, {start}
+    li r8, {0x10000 + 4 * start}
 loop:
     addi r1, r1, 1
     {access}
     addi r8, r8, 4
     add r5, r5, r4
-    cmpi r1, 5000
+    cmpi r1, {end}
     blt loop
     halt
-""", [(0x10000, 4096, RW)], fault=True)
+""", 5000, event=1025, regions=[(0x10000, 4096, RW)], fault=True)
 
     def test_store_into_read_only_region_mid_pass(self):
-        _differential("""
-    li r1, 0
-    li r8, 0x10000
+        _both_tiers(lambda start, end: f"""
+    li r1, {start}
+    li r8, {0x10000 + 4 * start}
 loop:
     addi r1, r1, 1
     st r1, [r8+0]
     addi r8, r8, 4
-    cmpi r1, 5000
+    cmpi r1, {end}
     blt loop
     halt
-""", [(0x10000, 4096, RW), (0x11000, 4096, PROT_READ)], fault=True)
+""", 5000, event=1025,
+            regions=[(0x10000, 4096, RW), (0x11000, 4096, PROT_READ)],
+            fault=True)
 
     def test_push_stack_overflow(self):
-        _differential("""
-    li r1, 0
-    li r15, 0x11000
+        _both_tiers(lambda start, end: f"""
+    li r1, {start}
+    li r15, {0x11000 - 4 * start}
 loop:
     addi r1, r1, 1
     push r1
     add r5, r5, r1
-    cmpi r1, 5000
+    cmpi r1, {end}
     blt loop
     halt
-""", [(0x10000, 4096, RW)], fault=True)
+""", 5000, event=1025, regions=[(0x10000, 4096, RW)], fault=True)
 
     def test_pop_stack_underflow(self):
-        _differential("""
-    li r1, 0
-    li r15, 0x10000
+        _both_tiers(lambda start, end: f"""
+    li r1, {start}
+    li r15, {0x10000 + 4 * start}
 loop:
     addi r1, r1, 1
     pop r4
     add r5, r5, r4
-    cmpi r1, 5000
+    cmpi r1, {end}
     blt loop
     halt
-""", [(0x10000, 4096, RW)], fault=True)
+""", 5000, event=1025, regions=[(0x10000, 4096, RW)], fault=True)
 
     def test_rdtsc_mid_pass_past_32_bits(self):
-        # 10^10 cycles: the high word moves while the loop runs.
-        _differential("""
-    li r1, 0
+        # 3 * 10^7 cycles a pass: the high word moves within 200 passes.
+        _both_tiers(lambda start, end: f"""
+    li r1, {start}
 loop:
     addi r1, r1, 1
     rdtsc r4
     rdtsch r6
-    cpuwork 10000000
+    cpuwork 30000000
     add r5, r5, r4
     add r7, r7, r6
-    cmpi r1, 1000
+    cmpi r1, {end}
     blt loop
     halt
-""")
+""", 1000)
 
     def test_data_tlb_switches_regions(self):
         # Every pass touches three regions, and the walking cursor
-        # crosses from one region into the next mid-run.
-        _differential("""
-    li r1, 0
-    li r8, 0x10000
+        # crosses from one region into the next on pass 1025.
+        _both_tiers(lambda start, end: f"""
+    li r1, {start}
+    li r8, {0x10000 + 4 * start}
     li r9, 0x20000
 loop:
     addi r1, r1, 1
@@ -563,10 +657,27 @@ loop:
     add r5, r5, r6
     add r5, r5, r7
     addi r8, r8, 4
-    cmpi r1, 2000
+    cmpi r1, {end}
     blt loop
     halt
-""", [(0x10000, 4096, RW), (0x11000, 4096, RW), (0x20000, 64, RW)])
+""", 2000, event=1025,
+            regions=[(0x10000, 4096, RW), (0x11000, 4096, RW), (0x20000, 64, RW)])
+
+    def test_data_tlb_does_not_outlive_a_trap(self):
+        # The loop leaves its region in the data TLB; the trap then
+        # shrinks the region in place, so the next pass's load faults.
+        _both_tiers(lambda start, end: f"""
+    li r1, {start}
+    li r8, 0x20000
+loop:
+    ld r2, [r8+256]
+    addi r1, r1, 1
+    cmpi r1, {end}
+    blt loop
+    sys
+    jmp loop
+""", 1000, regions=[(0x20000, 4096, RW)], fault=True,
+            trap_handler=_ShrinkRegion())
 
     @pytest.mark.parametrize("branch, compare, taken_stays", [
         ("beq", "cmpi r3, 0", True),
@@ -583,12 +694,13 @@ loop:
         ("bgt", "cmpi r1, 599", False),
     ])
     def test_off_cycle_exit(self, branch, compare, taken_stays):
-        # A two-block cycle whose head's branch stays in the cycle for
-        # 599 passes and leaves it mid-pass on the 600th.
+        # A two-block cycle whose head's branch stays in the cycle up
+        # to pass 599 and leaves it mid-pass on pass 600.
         # r3 = r1 / 600 and r6 = 600 - r1 give the compares something
         # to flip on.
-        head = f"""
-    li r1, 0
+        def source(start, end):
+            head = f"""
+    li r1, {start}
     jmp loop
 loop:
     addi r1, r1, 1
@@ -597,26 +709,26 @@ loop:
     sub r6, r6, r1
     {compare}
 """
-        tail = """
+            tail = """
     addi r2, r2, 3
     jmp loop
 """
-        if taken_stays:
-            source = head + f"    {branch} stay\n    halt\nstay:" + tail
-        else:
-            source = head + f"    {branch} out\n" + tail + "out:\n    halt\n"
-        cache = _differential(source)
+            if taken_stays:
+                return head + f"    {branch} stay\n    halt\nstay:" + tail
+            return head + f"    {branch} out\n" + tail + "out:\n    halt\n"
+
+        caches = _both_tiers(source, 600, event=600)
         assert OPCODE_INFO[Op[branch.upper()]].is_conditional
-        assert Op[branch.upper()] in _fused_ops(cache)
+        assert Op[branch.upper()] in _fused_ops(caches["hot"])
 
     @pytest.mark.parametrize("store", ["st", "stb"])
     def test_smc_store_into_the_span(self, store):
         # Every pass stores 5 through r9, which points into a data
-        # region for 399 passes and then at the immediate of the
-        # loop's own `addi r2, r2, 3`: the store lands mid-pass in the
-        # fused span, and the rest of the run adds 5 instead of 3.
-        cache = _differential(f"""
-    li r1, 0
+        # region up to pass 399 and then at the immediate of the loop's
+        # own `addi r2, r2, 3`: the store lands mid-block (or mid-pass)
+        # in the running code, and the rest of the run adds 5, not 3.
+        caches = _both_tiers(lambda start, end: f"""
+    li r1, {start}
     li r11, 0x10000
     li r12, bump
     addi r12, r12, 4
@@ -631,11 +743,11 @@ loop:
     {store} r10, [r9+0]
 bump:
     addi r2, r2, 3
-    cmpi r1, 799
+    cmpi r1, {end}
     blt loop
     halt
-""", [(0x10000, 4096, RW)])
-        assert cache.invalidations >= 1
+""", 799, event=400, regions=[(0x10000, 4096, RW)])
+        assert all(cache.invalidations >= 1 for cache in caches.values())
 
 
 class TestPreemptionOnChainBoundaries:

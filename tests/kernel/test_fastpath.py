@@ -212,8 +212,29 @@ path:
 
 class TestCountedOncePerTrap:
     """Fast-path hits and misses are tallied once per authenticated
-    trap: in the registry-backed ``audit.fastpath`` and in one
-    per-process tally that feeds ``Task.fastpath_hits/misses``."""
+    trap, in one per-process tally (the process's verifier).  The
+    registry, the recorder, ``audit.fastpath`` and
+    ``Task.fastpath_hits/misses`` all derive from it."""
+
+    def test_mid_run_reads_are_exact(self, installed):
+        kernel = Kernel(key=KEY)
+        process, vm = kernel.load(installed.binary)
+        verifier = kernel._verifiers[process.pid]
+        stats = kernel.audit.fastpath
+        while vm.syscall_count < LOOP_ITERATIONS // 2:
+            assert vm.step()
+            assert (stats.hits, stats.misses) == (verifier.hits, verifier.misses)
+        assert stats.hits > 0 and verifier.thunk_hits > 0
+        # The registry receives the tally when the process ends.
+        assert kernel.metrics.get("fastpath.hits") == 0
+        before = stats.reset()
+        assert stats.lookups == 0
+        vm.run()
+        kernel.release_process(process, vm)
+        assert kernel._verifiers == {}
+        assert before.hits + stats.hits == verifier.hits
+        assert before.misses + stats.misses == verifier.misses
+        assert kernel.metrics.get("verifier.thunk_hits") == verifier.thunk_hits
 
     @staticmethod
     def _run_scheduled(kernel, binary):
